@@ -48,6 +48,32 @@ def _load_sequence(path: str) -> RationalSequence:
     return RationalSequence.from_json(data)
 
 
+# lowest accepted value of each integer option; argparse checks only the type
+_MINIMUM = {"order": 1, "n": 0, "n_samples": 1, "decimal": 0}
+_RATIONAL = ("t", "s", "rate")
+
+
+def _check_args(args) -> None:
+    """Check integer ranges and parse rational options, as validation errors (exit 2)."""
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be >= {low}, got {value}")
+    for name in _RATIONAL:
+        text = getattr(args, name, None)
+        if text is not None:
+            try:
+                setattr(args, name, Fraction(text))
+            except (ValueError, ZeroDivisionError):
+                raise ValidationError(f"--{name} must be a rational p/q, got {text!r}") from None
+
+
+def _order(args, full: int) -> int:
+    """--order when given, else the full order of the input."""
+    return full if args.order is None else args.order
+
+
 def _emit(args, payload, csv_rows=None) -> None:
     if getattr(args, "format", "json") == "csv" and csv_rows is not None:
         header, rows = csv_rows
@@ -117,7 +143,7 @@ def _nc(args) -> None:
 def _conv(args) -> None:
     if args.verb == "zeta-power":
         seq = _load_sequence(args.infile)
-        out = incidence.zeta_power_conv(seq, args.k, args.order or seq.order)
+        out = incidence.zeta_power_conv(seq, args.k, _order(args, seq.order))
         payload, rows = _seq_payload(args, out)
         _emit(args, payload, rows)
     elif args.verb == "moebius":
@@ -137,31 +163,31 @@ def _series_cmd(args) -> None:
             out = series.comp_inverse(p)
         _emit(args, _series_payload(args, out))
     elif args.verb == "solve-fe":
-        out = series.solve_A_given_B(p, args.k, args.order or p.order)
+        out = series.solve_A_given_B(p, args.k, _order(args, p.order))
         _emit(args, _series_payload(args, out))
 
 
 def _transform(args) -> None:
     if args.verb == "m2c":
         seq = _load_sequence(args.infile)
-        out = transforms.moments_to_cumulants(seq, args.order or seq.order)
+        out = transforms.moments_to_cumulants(seq, _order(args, seq.order))
         payload, rows = _seq_payload(args, out, "cumulants")
     elif args.verb == "c2m":
         seq = _load_sequence(args.infile)
-        out = transforms.cumulants_to_moments(seq, args.order or seq.order)
+        out = transforms.cumulants_to_moments(seq, _order(args, seq.order))
         payload, rows = _seq_payload(args, out, "moments")
     elif args.verb == "boxtimes":
         a = _load_sequence(args.a)
         b = _load_sequence(args.b)
-        out = transforms.free_mult_convolve(a, b, args.order or min(a.order, b.order))
+        out = transforms.free_mult_convolve(a, b, _order(args, min(a.order, b.order)))
         payload, rows = _seq_payload(args, out, "cumulants")
     elif args.verb == "boxplus-power":
         seq = _load_sequence(args.infile)
-        out = transforms.free_add_power(seq, Fraction(args.t))
+        out = transforms.free_add_power(seq, args.t)
         payload, rows = _seq_payload(args, out, "cumulants")
     elif args.verb == "s-transform":
         seq = _load_sequence(args.infile)
-        out = transforms.s_transform(seq, args.order or seq.order)
+        out = transforms.s_transform(seq, _order(args, seq.order))
         _emit(args, _series_payload(args, out))
         return
     elif args.verb == "word-moment":
@@ -199,7 +225,7 @@ def _ksym(args) -> None:
         _emit(args, payload, rows)
     elif args.verb == "compound-poisson":
         jump = KSymmetricDistribution.from_json(_read_json(args.jump))
-        d = ksym.compound_poisson(args.k, Fraction(args.rate), jump, args.order)
+        d = ksym.compound_poisson(args.k, args.rate, jump, args.order)
         _emit(args, d.to_json())
     elif args.verb == "clt":
         d = KSymmetricDistribution.from_json(_read_json(args.infile))
@@ -208,15 +234,15 @@ def _ksym(args) -> None:
         _emit(args, payload, rows)
     elif args.verb == "poisson-limit":
         jump = KSymmetricDistribution.from_json(_read_json(args.jump))
-        out = ksym.poisson_limit_gap(args.k, Fraction(args.rate), jump,
+        out = ksym.poisson_limit_gap(args.k, args.rate, jump,
                                      args.n_samples, args.order)
         payload, rows = _seq_payload(args, out, "gaps")
         _emit(args, payload, rows)
     elif args.verb == "stable-check":
-        ok = ksym.stable_reproducing_check(args.k, Fraction(args.t), Fraction(args.s))
+        ok = ksym.stable_reproducing_check(args.k, args.t, args.s)
         lhs = ksym.stable_monomial_mul(
-            ksym.ksym_stable_monomial(args.k, Fraction(args.t)),
-            ksym.positive_stable_monomial(Fraction(1) / (1 + Fraction(args.s))),
+            ksym.ksym_stable_monomial(args.k, args.t),
+            ksym.positive_stable_monomial(1 / (1 + args.s)),
         )
         print(json.dumps({"holds": ok, "product": lhs.to_json()}, sort_keys=True))
 
@@ -358,6 +384,7 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(args)
         _HANDLERS[args.group](args)
         return 0
     except UsageError as exc:

@@ -6,6 +6,15 @@ far their result stays valid.  A PuiseuxSeries is a truncated Laurent
 series in w = z^(1/ram) whose exponents may be negative; it carries the
 window [lo, hi] of w-exponents on which its coefficients are exact.
 
+Every series inverse and functional-equation solve (comp_inverse,
+frac_inverse, solve_A_given_B, solve_B_given_A) runs on one Lagrange
+inversion core, _lagrange: if w = z phi(w) then [z^n] H(w) =
+(1/n) [w^(n-1)] H'(w) phi(w)^n.  Each function only picks H and
+phi = f^beta (B^k, 1/A, and u^(-1/k) for the inverses); the core takes
+each power phi^n = f^(n beta) from J.C.P. Miller's recurrence, so a solve
+to order N costs O(N^3) coefficient operations.  compose remains for
+check_pair and the tests.
+
 Truncation order is always explicit.  No operation guesses precision
 and no floating point appears anywhere.
 """
@@ -29,10 +38,6 @@ class PowerSeries:
         if not c:
             raise ValidationError("a series needs at least the constant term")
         self.coeffs = c
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
@@ -153,12 +158,42 @@ def comp_inverse(p: PowerSeries) -> PowerSeries:
     """Compositional inverse: q with p(q(z)) = z + O(z^(N+1))."""
     if p[0] != 0 or p[1] == 0:
         raise ValidationError("compositional inverse needs c_0 = 0 and c_1 != 0")
-    order = p.order
-    q = [Fraction(0), 1 / p[1]] + [Fraction(0)] * (order - 1)
-    for n in range(2, order + 1):
-        cur = compose(p, PowerSeries(q[: n + 1]), n)
-        q[n] = -cur[n] / p[1]
-    return PowerSeries(q)
+    return PowerSeries([0] + _root_inverse(p, 1, 1 / p[1]))
+
+
+def _root_inverse(p: PowerSeries, k: int, b1: Fraction) -> list:
+    """b_1..b_top of V(w) = sum b_i w^i with p(V(w)) = w^k, top = p.order-k+1.
+
+    p = c_k z^k u(z) with u(0) = 1 and c_k b1^k = 1, so V = (b1 w) u(V)^(-1/k):
+    H = z, phi = u^(-1/k), and b_n is b1^n times the Lagrange coefficient.
+    """
+    ck = p[k]
+    u = PowerSeries([c / ck for c in p.coeffs[k:]])
+    lag = _lagrange(PowerSeries.identity(1), u, Fraction(-1, k), p.order - k + 1)
+    return [b1 ** n * c for n, c in enumerate(lag, start=1)]
+
+
+def _lagrange(h: PowerSeries, f: PowerSeries, beta: Fraction, order: int) -> list:
+    """[z^n] H(w(z)) for n = 1..order, where w = z phi(w), phi = f^beta, f(0) = 1.
+
+    Lagrange inversion gives (1/n) [w^(n-1)] H'(w) f(w)^(n beta).  Each
+    power g = f^alpha comes from J.C.P. Miller's recurrence: f g' = alpha f' g
+    gives g_m = (1/m) sum_j ((alpha+1) j - m) f_j g_(m-j), g_0 = 1.  With
+    beta = p/q the weights are integers over q, every term has one factor
+    f_j of the input, and zero f_j are skipped, so a solve to order N costs
+    about N^3/6 such terms.  H and f read as zero past their last coefficient.
+    """
+    p, q = beta.numerator, beta.denominator
+    dh = [(i, i * h[i]) for i in range(1, order + 1) if h[i]]
+    fs = [(j, f[j]) for j in range(1, order) if f[j]]
+    out = []
+    for n in range(1, order + 1):
+        g, c = [Fraction(1)], n * p + q
+        for m in range(1, n):
+            acc = sum((c * j - m * q) * (x * g[m - j]) for j, x in fs if j <= m)
+            g.append(Fraction(acc, m * q))
+        out.append(Fraction(sum(d * g[n - i] for i, d in dh if i <= n), n))
+    return out
 
 
 def nth_root_int(x: int, k: int) -> int | None:
@@ -234,17 +269,6 @@ class PuiseuxSeries:
     def scale(self, t) -> "PuiseuxSeries":
         t = Fraction(t)
         return PuiseuxSeries(self.ram, self.lo, [t * c for c in self.coeffs])
-
-    def truncate_hi(self, hi: int) -> "PuiseuxSeries":
-        if hi < self.lo:
-            raise ValidationError("truncation would empty the window")
-        return PuiseuxSeries(self.ram, self.lo, self.coeffs[: hi - self.lo + 1])
-
-    def strip_leading_zeros(self) -> "PuiseuxSeries":
-        i = 0
-        while i < len(self.coeffs) - 1 and self.coeffs[i] == 0:
-            i += 1
-        return PuiseuxSeries(self.ram, self.lo + i, self.coeffs[i:])
 
     @classmethod
     def from_power_series(cls, p: PowerSeries, ram: int = 1) -> "PuiseuxSeries":
@@ -329,39 +353,20 @@ def frac_inverse(p: PowerSeries, k: int, leading_root: Fraction | None = None) -
         b1 = Fraction(leading_root)
         if ck * b1 ** k != 1:
             raise ValidationError("leading_root does not satisfy c_k * r^k = 1")
-    # Solve p(V(w)) = w^k for V(w) = sum b_i w^i, coefficient by
-    # coefficient: matching w^(k+j-1) determines b_j.
-    top = p.order - k + 1  # highest solvable index
-    b = [Fraction(0), b1] + [Fraction(0)] * (top - 1)
-    dk = k * ck * b1 ** (k - 1)
-    for j in range(2, top + 1):
-        m = k + j - 1
-        v = PowerSeries(b[: m + 1])
-        resid = Fraction(0)
-        vpow = PowerSeries.one(m)
-        for n in range(1, min(p.order, m) + 1):
-            vpow = mul(vpow, v, m)
-            if p[n] != 0:
-                resid += p[n] * vpow[m]
-        if m == k:
-            resid -= 1
-        b[j] = -resid / dk
-    return PuiseuxSeries(k, 1, b[1:])
+    return PuiseuxSeries(k, 1, _root_inverse(p, k, b1))
 
 
 def solve_A_given_B(b: PowerSeries, k: int, order: int) -> PowerSeries:
-    """Unique A with constant term 1 and A(z) = B(z A(z)^k) to order."""
+    """Unique A with constant term 1 and A(z) = B(z A(z)^k) to order.
+
+    B is read as a polynomial: coefficients past b.order count as zero.
+    """
     if b[0] != 1:
         raise ValidationError("B must have constant term 1")
     if k < 0:
         raise ValidationError("k must be >= 0")
-    a = PowerSeries.one(order)
-    for _ in range(order):
-        inner = mul(PowerSeries.identity(order), power(a, k, order), order)
-        a = compose(b, inner, order)
-    if a[0] != 1:
-        raise ValidationError("functional equation solver diverged")
-    return a
+    # w = z A^k solves w = z B(w)^k and A = B(w): H = B, phi = B^k.
+    return PowerSeries([1] + _lagrange(b, b, Fraction(k), order))
 
 
 def solve_B_given_A(a: PowerSeries, order: int | None = None) -> PowerSeries:
@@ -374,17 +379,8 @@ def solve_B_given_A(a: PowerSeries, order: int | None = None) -> PowerSeries:
         raise ValidationError("A must have constant term 1")
     if order is None:
         order = a.order
-    # a_n = sum_j b_j [z^(n-j)] A^j, triangular in b.
-    apow = [PowerSeries.one(order)]
-    for j in range(1, order + 1):
-        apow.append(mul(apow[-1], a, order))
-    b = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        acc = a[n]
-        for j in range(1, n):
-            acc -= b[j] * apow[j][n - j]
-        b[n] = acc
-    return PowerSeries(b)
+    # z solves z = w / A(z) in w = z A(z), and B(w) = A(z): H = A, phi = 1/A.
+    return PowerSeries([1] + _lagrange(a, a, Fraction(-1), order))
 
 
 def check_pair(a: PowerSeries, b: PowerSeries, mode: str, k: int,
@@ -407,18 +403,14 @@ def check_pair(a: PowerSeries, b: PowerSeries, mode: str, k: int,
         rhs = compose(a, mul(ident, power(b, k - 1, order), order), order)
         return b.truncate(order) == rhs
     if mode == "i":
-        m = _solve_inner(a, k, order)
+        m = solve_A_given_B(a, k, order)
         rhs = compose(b, mul(ident, m, order), order)
         return m == rhs
     if mode == "ii":
-        m = _solve_inner(b, 1, order)
+        m = solve_A_given_B(b, 1, order)
         rhs = compose(a, mul(ident, power(m, k, order), order), order)
         return m == rhs
     raise ValidationError(f"unknown mode {mode!r}")
-
-
-def _solve_inner(base: PowerSeries, k: int, order: int) -> PowerSeries:
-    return solve_A_given_B(base.truncate(min(base.order, order)), k, order)
 
 
 def geometric(order: int) -> PowerSeries:

@@ -192,3 +192,55 @@ def test_roundtrip_through_documented_schema(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "ksym", "clt", "--in", str(f),
                            "--n-samples", "4", "--order", "2")
     assert code == 0
+
+
+def _validation_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    return code == 2 and out == "" and json.loads(err)["kind"] == "validation"
+
+
+def test_order_zero_is_rejected_not_read_as_full_order(tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(["1/1", "2/1", "5/1", "14/1"]))
+    for verb in ("m2c", "c2m", "s-transform"):
+        assert _validation_error(capsys, "transform", verb, "--in", str(f), "--order", "0")
+    assert _validation_error(capsys, "transform", "m2c", "--in", str(f), "--order", "-2")
+    assert _validation_error(capsys, "series", "solve-fe", "--in", str(f), "--k", "1",
+                             "--order", "0")
+    code, out, _ = run_cli(capsys, "transform", "m2c", "--in", str(f), "--order", "2")
+    assert code == 0 and json.loads(out)["cumulants"] == ["1/1", "1/1"]
+
+
+def test_negative_count_size_is_a_validation_error(capsys):
+    assert _validation_error(capsys, "nc", "count", "--n", "-1")
+    code, out, _ = run_cli(capsys, "nc", "count", "--n", "0")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_zero_clt_samples_is_a_validation_error(tmp_path, capsys):
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"k": 2, "base": ["1/1", "2/1"], "valid": True}))
+    assert _validation_error(capsys, "ksym", "clt", "--in", str(law),
+                             "--n-samples", "0", "--order", "3")
+
+
+def test_negative_decimal_is_a_validation_error(tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(["1/2", "1/3"]))
+    assert _validation_error(capsys, "transform", "m2c", "--in", str(f), "--decimal", "-3")
+
+
+@pytest.mark.parametrize("flag", ["--t", "--rate", "--s"])
+@pytest.mark.parametrize("text", ["abc", "1/0"])
+def test_malformed_rational_option_is_a_validation_error(tmp_path, capsys, flag, text):
+    seq = tmp_path / "ones.json"
+    seq.write_text(json.dumps(["1/1"] * 3))
+    jump = tmp_path / "jump.json"
+    jump.write_text(json.dumps({"k": 2, "base": ["1/1", "1/1", "1/1"], "valid": True}))
+    argv = {
+        "--t": ["transform", "boxplus-power", "--in", str(seq), "--t", text],
+        "--rate": ["ksym", "compound-poisson", "--k", "2", "--rate", text,
+                   "--jump", str(jump), "--order", "3"],
+        "--s": ["ksym", "stable-check", "--k", "2", "--t", "1", "--s", text],
+    }[flag]
+    assert _validation_error(capsys, *argv)

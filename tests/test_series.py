@@ -245,3 +245,127 @@ def test_rational_root():
     assert se.rational_root(Fraction(27, 8), 3) == Fraction(3, 2)
     with pytest.raises(IrrationalRootError):
         se.rational_root(Fraction(2), 2)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the algorithms the Lagrange core replaced, kept as reference
+# implementations that every rebuilt function must match exactly.
+
+
+def old_solve_A_given_B(b, k, order):
+    """Fixed-point iteration A <- B(z A^k) over compose, one order per round."""
+    a = PowerSeries.one(order)
+    for _ in range(order):
+        inner = se.mul(PowerSeries.identity(order), se.power(a, k, order), order)
+        a = se.compose(b, inner, order)
+    return a
+
+
+def old_solve_B_given_A(a, order):
+    """Triangular solve of a_n = sum_j b_j [z^(n-j)] A^j."""
+    apow = [PowerSeries.one(order)]
+    for _ in range(order):
+        apow.append(se.mul(apow[-1], a, order))
+    b = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        b[n] = a[n] - sum((b[j] * apow[j][n - j] for j in range(1, n)), Fraction(0))
+    return PowerSeries(b)
+
+
+def old_root_inverse(p, k, b1):
+    """Coefficient-by-coefficient compose inverse of p(V(w)) = w^k, V'(0) = b1."""
+    top = p.order - k + 1
+    b = [Fraction(0), b1] + [Fraction(0)] * (top - 1)
+    dk = k * p[k] * b1 ** (k - 1)
+    for j in range(2, top + 1):
+        m = k + j - 1
+        b[j] = -se.compose(p, PowerSeries(b[: m + 1]), m)[m] / dk
+    return b[1:]
+
+
+def all_fractions(values):
+    return all(type(c) is Fraction for c in values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=3),
+       st.lists(rationals, min_size=0, max_size=10))
+def test_solvers_match_old_algorithms(order, k, tail):
+    b = PowerSeries([1] + tail)
+    a = se.solve_A_given_B(b, k, order)
+    assert a == old_solve_A_given_B(b, k, order) and all_fractions(a.coeffs)
+    got = se.solve_B_given_A(b, order)
+    assert got == old_solve_B_given_A(b, order) and all_fractions(got.coeffs)
+    assert se.solve_B_given_A(b) == old_solve_B_given_A(b, b.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=10), rationals.filter(bool),
+       st.lists(rationals, min_size=9, max_size=9))
+def test_comp_inverse_matches_old_algorithm(order, c1, tail):
+    p = PowerSeries([0, c1] + tail[: order - 1])
+    q = se.comp_inverse(p)
+    assert list(q.coeffs) == [0] + old_root_inverse(p, 1, 1 / c1)
+    assert all_fractions(q.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6),
+       st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3),
+       st.booleans(), st.lists(rationals, min_size=6, max_size=6))
+def test_frac_inverse_matches_old_algorithm(k, extra, root, negative, tail):
+    # c_k = root^-k, so both signs of the leading root are rational for even k
+    p = PowerSeries([0] * k + [1 / root ** k] + tail[:extra])
+    b1 = -root if negative and k % 2 == 0 else root
+    chi = se.frac_inverse(p, k, leading_root=b1 if b1 < 0 else None)
+    assert (chi.ram, chi.lo) == (k, 1)
+    assert list(chi.coeffs) == old_root_inverse(p, k, b1)
+    assert all_fractions(chi.coeffs)
+
+
+def test_solve_A_given_B_edge_orders_and_k_zero():
+    b = PowerSeries([1, 2, Fraction(-1, 3), 5])
+    # k = 0: A = B(z), cut or padded to the order
+    assert se.solve_A_given_B(b, 0, 2) == PowerSeries([1, 2, Fraction(-1, 3)])
+    assert se.solve_A_given_B(b, 0, 5) == PowerSeries([1, 2, Fraction(-1, 3), 5, 0, 0])
+    for k in range(4):
+        assert se.solve_A_given_B(b, k, 0) == PowerSeries([1])
+        assert se.solve_A_given_B(b, k, 1) == PowerSeries([1, 2])
+    assert se.solve_B_given_A(b, 0) == PowerSeries([1])
+    one = se.solve_A_given_B(PowerSeries([1]), 2, 5)
+    assert one == PowerSeries.one(5) and all_fractions(one.coeffs)
+    with pytest.raises(ValidationError):
+        se.solve_A_given_B(b, -1, 3)
+
+
+def test_short_B_is_read_as_a_polynomial():
+    n = 9
+    cat = se.solve_A_given_B(PowerSeries([1, 1]), 2, n)
+    assert [int(c) for c in cat.coeffs] == [nc.catalan(m) for m in range(n + 1)]
+    assert cat == old_solve_A_given_B(PowerSeries([1, 1]), 2, n)
+    # A short A is a polynomial for the inverse solve too
+    short = PowerSeries([1, 2, 3])
+    assert se.solve_B_given_A(short, 7) == old_solve_B_given_A(short, 7)
+
+
+def test_frac_inverse_at_minimal_order():
+    for k in (1, 2, 3):
+        chi = se.frac_inverse(PowerSeries([0] * k + [Fraction(1, 8 ** k)]), k)
+        assert (chi.lo, chi.hi) == (1, 1) and chi.coeff(1) == 8
+        assert all_fractions(chi.coeffs)
+        # a monomial gives all-zero sums past b_1, which must stay Fractions
+        chi = se.frac_inverse(PowerSeries([0] * k + [Fraction(1, 8 ** k)] + [0] * 5), k)
+        assert list(chi.coeffs) == [8, 0, 0, 0, 0, 0] and all_fractions(chi.coeffs)
+
+
+def test_frac_inverse_negative_root_and_non_unit_leading_coefficient():
+    p = PowerSeries([0, 0, Fraction(9, 4), 1, Fraction(-1, 2), 0, 3, 0, 0])
+    for root in (Fraction(2, 3), Fraction(-2, 3)):
+        chi = se.frac_inverse(p, 2, leading_root=root)
+        assert list(chi.coeffs) == old_root_inverse(p, 2, root)
+        assert all_fractions(chi.coeffs)
+    cubic = PowerSeries([0, 0, 0, Fraction(8, 27), 2, -1, 0, 0, 0])
+    chi = se.frac_inverse(cubic, 3)
+    assert chi.coeff(1) == Fraction(3, 2)
+    assert list(chi.coeffs) == old_root_inverse(cubic, 3, Fraction(3, 2))
+    assert all_fractions(chi.coeffs)
