@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import incidence, ksym, matmodel, ncpart, series, transforms
 from .errors import ResourceLimitError, ValidationError
 from .ksym import KSymmetricDistribution
-from .sequences import RationalSequence, frac_from_str, frac_to_str
+from .sequences import RationalSequence, frac_to_str
 from .series import PowerSeries, PuiseuxSeries
 
 
@@ -42,14 +42,27 @@ def _read_json(path: str):
 
 
 def _load_sequence(path: str) -> RationalSequence:
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise ValidationError("sequence JSON must be an array of 'p/q' strings")
-    return RationalSequence.from_json(data)
+    return RationalSequence.from_json(_read_json(path))
+
+
+def _load_variables(path: str) -> list:
+    """The --vars file: an array of {"label", "moments", "period"} objects."""
+    entries = _read_json(path)
+    if not isinstance(entries, list) or not all(
+            isinstance(v, dict) and isinstance(v.get("label"), str) and "moments" in v
+            and isinstance(v.get("period"), (int, type(None))) for v in entries):
+        raise ValidationError(
+            '--vars must be a JSON array of {"label": str, "moments": [...], '
+            '"period": int|null} objects')
+    return [
+        transforms.FreeVariable(
+            v["label"], RationalSequence.from_json(v["moments"]), v.get("period"))
+        for v in entries
+    ]
 
 
 # lowest accepted value of each integer option; argparse checks only the type
-_MINIMUM = {"order": 1, "n": 0, "n_samples": 1, "decimal": 0}
+_MINIMUM = {"order": 1, "n": 0, "n_samples": 1, "decimal": 0, "frac": 1}
 _RATIONAL = ("t", "s", "rate")
 
 
@@ -153,9 +166,7 @@ def _conv(args) -> None:
 
 
 def _series_cmd(args) -> None:
-    data = _read_json(args.infile)
-    coeffs = [frac_from_str(c) for c in data]
-    p = PowerSeries(coeffs)
+    p = PowerSeries(_load_sequence(args.infile).values)
     if args.verb == "invert":
         if args.frac and args.frac > 1:
             out = series.frac_inverse(p, args.frac)
@@ -191,19 +202,14 @@ def _transform(args) -> None:
         _emit(args, _series_payload(args, out))
         return
     elif args.verb == "word-moment":
-        entries = _read_json(args.vars)
-        variables = [
-            transforms.FreeVariable(
-                v["label"],
-                RationalSequence.from_json(v["moments"]),
-                v.get("period"),
-            )
-            for v in entries
-        ]
+        variables = _load_variables(args.vars)
         word = []
         for chunk in args.word.split(","):
-            lab, exp = chunk.rsplit(":", 1)
-            word.append((lab, int(exp)))
+            try:
+                lab, exp = chunk.rsplit(":", 1)
+                word.append((lab, int(exp)))
+            except ValueError:
+                raise ValidationError(f"malformed word letter {chunk!r}") from None
         val = transforms.free_word_moment(variables, word)
         print(json.dumps({"moment": frac_to_str(val)}, sort_keys=True))
         return

@@ -9,16 +9,22 @@ elements.
 The convolution never walks NC(n) twice: a per-n histogram keyed by the
 pair (block sizes of pi, block sizes of Kr(pi)) is built once by
 enumeration and cached, collapsing the Catalan-sized sum to a sum over
-partition-type pairs with integer multiplicities.
+partition-type pairs with integer multiplicities.  Only
+`kdivisible_conv`, the convolution in the lattice of k-divisible
+partitions, reads these histograms; `conv` is its k = 1 case.
+
+Routes go through `errors.run_route` ("both" runs all and checks that
+they agree): `zeta_power_conv` has "iterated" and "dilated".
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import prod
 
 from . import ncpart
-from .errors import RouteMismatchError, ValidationError
+from .errors import ValidationError, run_route
 from .ncpart import kreweras
 from .sequences import RationalSequence
 
@@ -34,9 +40,9 @@ def kdivisible_pair_stats(k: int, n: int, max_n: int | None = None) -> dict:
     """Histogram {(sizes(pi), sizes(Kr(pi))): count} over the k-divisible
     non-crossing partitions of [kn] (all of NC(n) when k = 1).
 
-    Built once by enumeration and cached; every convolution-type sum in
-    this package reduces to a walk over these partition-type pairs with
-    integer multiplicities.
+    Built once by enumeration and cached; read only by kdivisible_conv,
+    so every convolution-type sum in this package is a walk over these
+    partition-type pairs with integer multiplicities.
     """
     hit = _pair_stats.get((k, n))
     if hit is not None:
@@ -53,10 +59,6 @@ def kdivisible_pair_stats(k: int, n: int, max_n: int | None = None) -> dict:
         return hist
 
 
-def _conv_stats(n: int, max_n: int | None = None) -> dict:
-    return kdivisible_pair_stats(1, n, max_n)
-
-
 def extend(a: RationalSequence, p: ncpart.Partition) -> Fraction:
     """Multiplicative extension a_pi = prod over blocks of a_{|V|}."""
     out = Fraction(1)
@@ -66,13 +68,6 @@ def extend(a: RationalSequence, p: ncpart.Partition) -> Fraction:
                 f"block of size {len(b)} exceeds sequence order {a.order}"
             )
         out *= a[len(b)]
-    return out
-
-
-def _extend_sizes(a: RationalSequence, sizes) -> Fraction:
-    out = Fraction(1)
-    for s in sizes:
-        out *= a[s]
     return out
 
 
@@ -97,13 +92,30 @@ def conv(f: RationalSequence, g: RationalSequence, order: int | None = None,
     """(f*g)_n = sum over pi in NC(n) of f_pi g_{Kr(pi)}, n = 1..order."""
     if order is None:
         order = min(f.order, g.order)
-    if f.order < order or g.order < order:
+    return kdivisible_conv(1, f, g, order, max_n)
+
+
+def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | None,
+                    order: int, max_n: int | None = None) -> RationalSequence:
+    """Entry n is the sum over k-divisible pi in NC(kn) of f_pi g_{Kr(pi)},
+    n = 1..order; None for f or g stands for the zeta family (all ones).
+
+    Walks the cached (pi, Kr(pi)) type histogram of each n; a zeta side
+    costs no multiplications.
+    """
+    if any(a is not None and a.order < k * order for a in (f, g)):
         raise ValidationError("operand order too small for requested convolution order")
+    fv = None if f is None else (None, *f.values)  # fv[s] is f_s
+    gv = None if g is None else (None, *g.values)
     out = []
     for n in range(1, order + 1):
-        total = Fraction(0)
-        for (spi, skr), cnt in _conv_stats(n, max_n).items():
-            total += cnt * _extend_sizes(f, spi) * _extend_sizes(g, skr)
+        total = 0
+        for (spi, skr), cnt in kdivisible_pair_stats(k, n, max_n).items():
+            if fv is not None:
+                cnt *= prod(fv[s] for s in spi)
+            if gv is not None:
+                cnt *= prod(gv[s] for s in skr)
+            total += cnt
         out.append(total)
     return RationalSequence(out)
 
@@ -147,27 +159,16 @@ def zeta_power_conv(g: RationalSequence, k: int, order: int,
         return g.prefix(order)
 
     def iterated() -> RationalSequence:
-        z = zeta_family(order)
         out = g.prefix(order)
         for _ in range(k):
-            out = conv(out, z, order, max_n)
+            out = kdivisible_conv(1, out, None, order, max_n)
         return out
 
     def dilated() -> RationalSequence:
         lifted = dilate(g.prefix(order), k)
-        once = conv(lifted, zeta_family(k * order), k * order, max_n)
-        return undilate(once, k)
+        return undilate(kdivisible_conv(1, lifted, None, k * order, max_n), k)
 
-    if route == "iterated":
-        return iterated()
-    if route == "dilated":
-        return dilated()
-    if route == "both":
-        a, b = iterated(), dilated()
-        if a != b:
-            raise RouteMismatchError("zeta_power_conv routes disagree")
-        return a
-    raise ValidationError(f"unknown route {route!r}")
+    return run_route("zeta_power_conv", route, {"iterated": iterated, "dilated": dilated})
 
 
 def multichain_count_enumerated(length: int, n: int, max_n: int | None = None) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import incidence, ncpart, transforms
 from .series import nth_root_int as _root
-from .errors import RouteMismatchError, ValidationError
+from .errors import ValidationError, run_route
 from .sequences import RationalSequence, frac_from_str, frac_to_str
 
 
@@ -76,8 +76,12 @@ class KSymmetricDistribution:
 
     @classmethod
     def from_json(cls, obj) -> "KSymmetricDistribution":
-        return cls(int(obj["k"]), RationalSequence.from_json(obj["base"]),
-                   obj.get("valid"))
+        if not isinstance(obj, dict) or "k" not in obj or "base" not in obj:
+            raise ValidationError('a k-symmetric law is a JSON object with "k" and "base"')
+        k = obj["k"]
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValidationError(f'"k" must be an integer, got {k!r}')
+        return cls(k, RationalSequence.from_json(obj["base"]), obj.get("valid"))
 
 
 def from_determining_sequence(k: int, alpha: RationalSequence,
@@ -197,16 +201,13 @@ def xk_of_kdivisible(alpha: RationalSequence, k: int, order: int) -> RationalSeq
     mom_nu = transforms.cumulants_to_moments(alpha.prefix(order), order)
     if not transforms.hankel_check(mom_nu, stieltjes=True):
         raise ValidationError("alpha is not the cumulant sequence of a positive law")
-    via_power = transforms.cumulants_to_moments(
-        transforms.kdiv_power_cumulants(alpha, k, order), order
-    )
-    c = alpha.prefix(order)
-    for _ in range(k - 1):
-        c = transforms.free_mult_convolve(c, incidence.zeta_family(order), order)
-    via_poisson = transforms.cumulants_to_moments(c, order)
-    if via_power != via_poisson:
-        raise RouteMismatchError("xk_of_kdivisible routes disagree")
-    return via_power
+    return run_route("xk_of_kdivisible", "both", {
+        "power": lambda: transforms.cumulants_to_moments(
+            transforms.kdiv_power_cumulants(alpha, k, order), order),
+        "poisson": lambda: transforms.cumulants_to_moments(
+            incidence.zeta_power_conv(alpha.prefix(order), k - 1, order, route="iterated"),
+            order),
+    })
 
 
 def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
@@ -224,16 +225,7 @@ def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
         if mu.order < k * order:
             raise ValidationError("enumeration route needs moments up to k*order")
         cums = transforms.moments_to_cumulants(mu.prefix(k * order), k * order)
-        out = []
-        for n in range(1, order + 1):
-            total = Fraction(0)
-            for (_sizes, kr_sizes), cnt in incidence.kdivisible_pair_stats(k, n).items():
-                term = Fraction(cnt)
-                for s in kr_sizes:
-                    term *= cums[s]
-                total += term
-            out.append(total)
-        return RationalSequence(out)
+        return incidence.kdivisible_conv(k, None, cums, order)
 
     def by_iter() -> RationalSequence:
         c1 = transforms.moments_to_cumulants(mu.prefix(order), order)
@@ -242,16 +234,8 @@ def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
             c = transforms.free_mult_convolve(c, c1, order)
         return transforms.cumulants_to_moments(c, order)
 
-    if route == "enumeration":
-        return by_enum()
-    if route == "iterated":
-        return by_iter()
-    if route == "both":
-        a, b = by_enum(), by_iter()
-        if a != b:
-            raise RouteMismatchError("boxtimes_power_moments routes disagree")
-        return a
-    raise ValidationError(f"unknown route {route!r}")
+    return run_route("boxtimes_power_moments", route,
+                     {"enumeration": by_enum, "iterated": by_iter})
 
 
 def infdiv_power_identity_check(rate, jump: KSymmetricDistribution, k: int,
@@ -269,11 +253,8 @@ def infdiv_power_identity_check(rate, jump: KSymmetricDistribution, k: int,
     alpha = jump.base.prefix(order).scale(rate)
     if k == 1:
         return lhs == alpha
-    c = alpha
-    for _ in range(k - 2):
-        c = transforms.free_mult_convolve(c, incidence.zeta_family(order), order)
-    rhs = transforms.cumulants_to_moments(c, order)
-    return lhs == rhs
+    c = incidence.zeta_power_conv(alpha, k - 2, order, route="iterated")
+    return lhs == transforms.cumulants_to_moments(c, order)
 
 
 # ---------------------------------------------------------------------------

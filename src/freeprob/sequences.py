@@ -8,6 +8,7 @@ formulas transcribe directly.  Values serialize as JSON arrays of
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -23,6 +24,14 @@ def frac_from_str(s: str) -> Fraction:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational literal: {s!r}") from exc
+
+
+def _entry_from_json(s) -> Fraction:
+    if isinstance(s, str):
+        return frac_from_str(s)
+    if isinstance(s, int) or isinstance(s, float) and math.isfinite(s):
+        return Fraction(s)
+    raise ValidationError(f"not a rational literal: {s!r}")
 
 
 class RationalSequence:
@@ -48,7 +57,11 @@ class RationalSequence:
 
     @classmethod
     def from_json(cls, items) -> "RationalSequence":
-        return cls([frac_from_str(s) if isinstance(s, str) else Fraction(s) for s in items])
+        """Read a JSON array of "p/q" strings; integers and finite floats
+        are taken at their exact value."""
+        if not isinstance(items, list):
+            raise ValidationError("sequence JSON must be an array of 'p/q' strings")
+        return cls([_entry_from_json(s) for s in items])
 
     @property
     def order(self) -> int:

@@ -2,8 +2,11 @@
 word-moment evaluator driven directly by the definition of freeness.
 
 Every major identity here is computable along two independent routes
-(enumeration over non-crossing partitions vs. formal series equations);
-ops expose a route argument so tests can assert exact agreement.
+(enumeration over non-crossing partitions vs. formal series equations).
+A `route` argument names one route and goes through `errors.run_route`,
+where "both" runs every route and raises RouteMismatchError unless all
+agree: m2c/c2m have "series" and "enumeration" (alias "moebius"),
+`kdiv_power_cumulants` has "enumeration", "two-stage" and "zeta".
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import incidence, ncpart, series
-from .errors import RouteMismatchError, ValidationError
+from .errors import ValidationError, run_route
 from .sequences import RationalSequence
 from .series import PowerSeries, PuiseuxSeries
 
@@ -39,7 +42,8 @@ def cumulants_to_moments(cum: RationalSequence, order: int | None = None,
     def by_enum() -> RationalSequence:
         return incidence.conv(cum.prefix(order), incidence.zeta_family(order), order)
 
-    return _route_pick(route, by_series, by_enum, "cumulants_to_moments")
+    return run_route("cumulants_to_moments", route,
+                     {"series": by_series, "enumeration": by_enum, "moebius": by_enum})
 
 
 def moments_to_cumulants(mom: RationalSequence, order: int | None = None,
@@ -58,20 +62,8 @@ def moments_to_cumulants(mom: RationalSequence, order: int | None = None,
     def by_moebius() -> RationalSequence:
         return incidence.conv(mom.prefix(order), incidence.moebius_family(order), order)
 
-    return _route_pick(route, by_series, by_moebius, "moments_to_cumulants")
-
-
-def _route_pick(route, primary, secondary, name) -> RationalSequence:
-    if route == "series":
-        return primary()
-    if route in ("enumeration", "moebius"):
-        return secondary()
-    if route == "both":
-        a, b = primary(), secondary()
-        if a != b:
-            raise RouteMismatchError(f"{name} routes disagree")
-        return a
-    raise ValidationError(f"unknown route {route!r}")
+    return run_route("moments_to_cumulants", route,
+                     {"series": by_series, "enumeration": by_moebius, "moebius": by_moebius})
 
 
 # ---------------------------------------------------------------------------
@@ -142,33 +134,19 @@ def kdiv_power_cumulants(alpha: RationalSequence, k: int, order: int,
     if alpha.order < order:
         raise ValidationError("determining sequence too short")
 
-    def dilated_sum(seq: RationalSequence, j: int, n: int) -> Fraction:
-        # sum over NC(jn) of the j-dilation of seq = sum over j-divisible
-        # partitions of [jn] of seq_{|V|/j}; walks the cached type
-        # histogram instead of the partitions themselves
-        total = Fraction(0)
-        for (sizes, _kr), cnt in incidence.kdivisible_pair_stats(j, n).items():
-            term = Fraction(cnt)
-            for s in sizes:
-                term *= seq[s // j]
-            total += term
-        return total
+    def divisible_sum(j: int) -> RationalSequence:
+        return incidence.kdivisible_conv(j, incidence.dilate(alpha.prefix(order), j),
+                                         None, order)
 
-    if route == "enumeration":
-        return RationalSequence(
-            [dilated_sum(alpha, k - 1, n) for n in range(1, order + 1)]
-        )
-    if route == "two-stage":
-        if k == 2:
-            beta = alpha.prefix(order)
-        else:
-            beta = RationalSequence(
-                [dilated_sum(alpha, k - 2, m) for m in range(1, order + 1)]
-            )
+    def two_stage() -> RationalSequence:
+        beta = alpha.prefix(order) if k == 2 else divisible_sum(k - 2)
         return cumulants_to_moments(beta, order, route="enumeration")
-    if route == "zeta":
-        return incidence.zeta_power_conv(alpha.prefix(order), k - 1, order)
-    raise ValidationError(f"unknown route {route!r}")
+
+    return run_route("kdiv_power_cumulants", route, {
+        "enumeration": lambda: divisible_sum(k - 1),
+        "two-stage": two_stage,
+        "zeta": lambda: incidence.zeta_power_conv(alpha.prefix(order), k - 1, order),
+    })
 
 
 # ---------------------------------------------------------------------------

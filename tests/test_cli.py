@@ -244,3 +244,50 @@ def test_malformed_rational_option_is_a_validation_error(tmp_path, capsys, flag,
         "--s": ["ksym", "stable-check", "--k", "2", "--t", "1", "--s", text],
     }[flag]
     assert _validation_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["transform", "word-moment", "--vars", "{f}", "--word", "x:1"],
+     [{"moments": ["1/2"]}]),
+    (["transform", "word-moment", "--vars", "{f}", "--word", "x:1"], "x"),
+    (["ksym", "clt", "--in", "{f}", "--n-samples", "4", "--order", "2"], {"k": 2}),
+    (["ksym", "clt", "--in", "{f}", "--n-samples", "4", "--order", "2"],
+     {"k": "a", "base": ["1/1", "2/1"]}),
+    (["ksym", "clt", "--in", "{f}", "--n-samples", "4", "--order", "2"],
+     {"k": 2.5, "base": ["1/1", "2/1"]}),
+    (["transform", "m2c", "--in", "{f}"], [[1]]),
+], ids=["vars-without-label", "vars-not-an-array", "law-without-base",
+        "law-k-not-an-integer", "law-k-not-integral", "nested-sequence"])
+def test_malformed_json_input_is_a_validation_error(tmp_path, capsys, argv, payload):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(payload))
+    assert _validation_error(capsys, *(a.format(f=f) for a in argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "word-moment", "--vars", "{vars}", "--word", "x"],
+    ["transform", "word-moment", "--vars", "{vars}", "--word", "x:a"],
+    ["series", "invert", "--in", "{psi}", "--frac", "0"],
+    ["series", "invert", "--in", "{psi}", "--frac", "-2"],
+], ids=["word-without-exponent", "word-exponent-not-an-integer", "frac-zero",
+        "frac-negative"])
+def test_malformed_word_or_ramification_is_a_validation_error(tmp_path, capsys, argv):
+    paths = {"vars": tmp_path / "vars.json", "psi": tmp_path / "psi.json"}
+    paths["vars"].write_text(json.dumps([{"label": "x", "moments": ["0/1", "1/1"]}]))
+    # an input the ordinary inverse accepts, so a silent fallback would exit 0
+    paths["psi"].write_text(json.dumps(["0/1", "1/1", "1/1"]))
+    assert _validation_error(capsys, *(a.format(**paths) for a in argv))
+    code, out, _ = run_cli(capsys, "transform", "word-moment", "--vars", str(paths["vars"]),
+                           "--word", "x:2")
+    assert code == 0 and json.loads(out) == {"moment": "1/1"}
+
+
+def test_series_file_reads_like_a_sequence_file(tmp_path, capsys):
+    # plain JSON numbers are exact values, as in every other sequence input
+    ints, strs = tmp_path / "ints.json", tmp_path / "strs.json"
+    ints.write_text(json.dumps([0, 1, 1]))
+    strs.write_text(json.dumps(["0/1", "1/1", "1/1"]))
+    code, out, _ = run_cli(capsys, "series", "invert", "--in", str(ints))
+    assert code == 0 and out == run_cli(capsys, "series", "invert", "--in", str(strs))[1]
+    strs.write_text(json.dumps({"c0": "0/1"}))
+    assert _validation_error(capsys, "series", "invert", "--in", str(strs))

@@ -201,3 +201,38 @@ def test_concurrent_cache_initialization_is_consistent():
         t.join()
     assert all(r == results[0] for r in results)
     assert [int(v) for v in results[0]] == [nc.catalan(n) for n in range(1, 10)]
+
+
+def kdivisible_conv_bruteforce(k, f, g, order):
+    """Literal sum over the k-divisible partitions of [kn]; None is zeta."""
+    out = []
+    for n in range(1, order + 1):
+        total = Fraction(0)
+        for p in nc.enumerate_kdivisible(k, n):
+            fp = 1 if f is None else inc.extend(f, p)
+            gp = 1 if g is None else inc.extend(g, nc.kreweras(p))
+            total += fp * gp
+        out.append(total)
+    return RationalSequence(out)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seqs(9), seqs(9), st.integers(min_value=1, max_value=3))
+def test_kdivisible_conv_matches_bruteforce(f, g, k):
+    order = 9 // k if k > 1 else 6
+    f, g = f.prefix(k * order), g.prefix(k * order)
+    for a, b in ((f, g), (None, g), (f, None), (None, None)):
+        assert inc.kdivisible_conv(k, a, b, order) == kdivisible_conv_bruteforce(k, a, b, order)
+    zeta = inc.zeta_family(k * order)
+    assert inc.kdivisible_conv(k, None, g, order) == inc.kdivisible_conv(k, zeta, g, order)
+    if k == 1:
+        assert inc.kdivisible_conv(1, f, g, order) == inc.conv(f, g, order)
+
+
+def test_kdivisible_conv_needs_operands_up_to_k_times_order():
+    g = RationalSequence([1, 2, 3, 4, 5])
+    with pytest.raises(ValidationError):
+        inc.kdivisible_conv(2, None, g, 3)
+    with pytest.raises(ValidationError):
+        inc.kdivisible_conv(2, g, None, 3)
+    assert inc.kdivisible_conv(2, None, g.prefix(4), 2).order == 2

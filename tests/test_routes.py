@@ -1,0 +1,87 @@
+"""The route dispatcher: one helper behind every `route` argument."""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from freeprob import incidence, ksym, transforms
+from freeprob.errors import RouteMismatchError, ValidationError, run_route
+from freeprob.sequences import RationalSequence
+
+SEQ = RationalSequence([1, 2, 5, 14, 42, 132, 429, 1430])
+POSITIVE = transforms.point_mass_moments(2, 8)
+
+# one valid call per public function that takes route=, route left open
+ROUTED = {
+    "transforms.cumulants_to_moments": lambda route: transforms.cumulants_to_moments(
+        SEQ, 4, route=route),
+    "transforms.moments_to_cumulants": lambda route: transforms.moments_to_cumulants(
+        SEQ, 4, route=route),
+    "transforms.kdiv_power_cumulants": lambda route: transforms.kdiv_power_cumulants(
+        SEQ, 3, 3, route=route),
+    "incidence.zeta_power_conv": lambda route: incidence.zeta_power_conv(
+        SEQ, 2, 3, route=route),
+    "ksym.boxtimes_power_moments": lambda route: ksym.boxtimes_power_moments(
+        POSITIVE, 2, 3, route=route),
+}
+
+
+def test_every_routed_function_is_listed():
+    found = {
+        f"{mod.__name__.rsplit('.', 1)[1]}.{name}"
+        for mod in (incidence, ksym, transforms)
+        for name, fn in inspect.getmembers(mod, inspect.isfunction)
+        if fn.__module__ == mod.__name__ and not name.startswith("_")
+        and "route" in inspect.signature(fn).parameters
+    }
+    assert found == set(ROUTED)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED))
+def test_unknown_route_is_a_validation_error(name):
+    with pytest.raises(ValidationError, match="unknown route 'bogus'"):
+        ROUTED[name]("bogus")
+    assert ROUTED[name]("both") is not None
+
+
+def test_both_raises_when_two_routes_disagree():
+    with pytest.raises(RouteMismatchError, match="demo routes disagree"):
+        run_route("demo", "both", {"a": lambda: 1, "b": lambda: 2})
+
+
+def test_both_returns_the_first_route_value_and_runs_each_route_once():
+    calls = []
+
+    def route(tag, value):
+        def run():
+            calls.append(tag)
+            return value
+        return run
+
+    # equal values of three types tell which route's value came back
+    alias = route("b", Fraction(1))
+    routes = {"a": route("a", 1), "b": alias, "alias": alias, "c": route("c", 1.0)}
+    out = run_route("demo", "both", routes)
+    assert out == 1 and type(out) is int
+    assert calls == ["a", "b", "c"]
+    calls.clear()
+    out = run_route("demo", "alias", routes)
+    assert type(out) is Fraction and calls == ["b"]
+    with pytest.raises(ValidationError, match="unknown route 'd'"):
+        run_route("demo", "d", routes)
+
+
+def test_kdiv_power_cumulants_both_is_the_common_value_of_three_routes():
+    alpha = RationalSequence([1, -2, 3, 1, 5, 2])
+    for k, order in ((2, 6), (3, 4), (4, 3)):
+        values = [transforms.kdiv_power_cumulants(alpha, k, order, route=r)
+                  for r in ("enumeration", "two-stage", "zeta")]
+        assert values[0] == values[1] == values[2]
+        assert transforms.kdiv_power_cumulants(alpha, k, order, route="both") == values[0]
+
+
+def test_moebius_is_an_alias_of_enumeration():
+    for fn in (transforms.cumulants_to_moments, transforms.moments_to_cumulants):
+        assert fn(SEQ, 5, route="moebius") == fn(SEQ, 5, route="enumeration") \
+            == fn(SEQ, 5, route="series")
