@@ -97,11 +97,19 @@ def _emit(args, payload, csv_rows=None) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
+def _decimal_str(v: Fraction, places: int) -> str:
+    """v rounded half to even at the given places, formatted like "%.{places}f"."""
+    digits = str(abs(round(v * 10 ** places))).rjust(places + 1, "0")
+    if places:
+        digits = digits[:-places] + "." + digits[-places:]
+    return "-" + digits if v < 0 else digits
+
+
 def _seq_payload(args, seq: RationalSequence, name: str = "values"):
     payload: dict = {name: seq.to_json()}
     dec = getattr(args, "decimal", None)
     if dec is not None:
-        payload[name + "_decimal"] = [f"{float(v):.{dec}f}" for v in seq]
+        payload[name + "_decimal"] = [_decimal_str(v, dec) for v in seq]
     header = ["n", name]
     rows = [(n, frac_to_str(seq[n])) for n in range(1, seq.order + 1)]
     return payload, (header, rows)

@@ -6,6 +6,11 @@ far their result stays valid.  A PuiseuxSeries is a truncated Laurent
 series in w = z^(1/ram) whose exponents may be negative; it carries the
 window [lo, hi] of w-exponents on which its coefficients are exact.
 
+Every product of two series goes through mul, and every power through
+power, which is built on it.  The Puiseux operations (puiseux_mul,
+puiseux_pow, from_power_series) only track the ramification ram and the
+window lo..hi and hand the coefficients to those kernels.
+
 Every series inverse and functional-equation solve (comp_inverse,
 frac_inverse, solve_A_given_B, solve_B_given_A) runs on one Lagrange
 inversion core, _lagrange: if w = z phi(w) then [z^n] H(w) =
@@ -21,6 +26,7 @@ and no floating point appears anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import IrrationalRootError, ValidationError
@@ -82,21 +88,6 @@ class PowerSeries:
     def tail_sequence(self):
         """Coefficients c_1..c_N as a 1-based list (drops the constant)."""
         return list(self.coeffs[1:])
-
-
-def add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    n = min(a.order, b.order)
-    return PowerSeries([a[i] + b[i] for i in range(n + 1)])
-
-
-def sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    n = min(a.order, b.order)
-    return PowerSeries([a[i] - b[i] for i in range(n + 1)])
-
-
-def scale(a: PowerSeries, t) -> PowerSeries:
-    t = Fraction(t)
-    return PowerSeries([t * c for c in a.coeffs])
 
 
 def mul(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSeries:
@@ -266,47 +257,27 @@ class PuiseuxSeries:
         """Multiply by w^e."""
         return PuiseuxSeries(self.ram, self.lo + e, self.coeffs)
 
-    def scale(self, t) -> "PuiseuxSeries":
-        t = Fraction(t)
-        return PuiseuxSeries(self.ram, self.lo, [t * c for c in self.coeffs])
-
     @classmethod
     def from_power_series(cls, p: PowerSeries, ram: int = 1) -> "PuiseuxSeries":
-        coeffs = [Fraction(0)] * (p.order * ram + 1)
-        for i, c in enumerate(p.coeffs):
-            coeffs[i * ram] = c
+        spread = cls(1, 0, p.coeffs).reindex(ram)
         # z^(order+1) is the first unknown, so w-exponents through
         # ram*(order+1)-1 are exact.
         pad = ram - 1
-        return cls(ram, 0, coeffs + [Fraction(0)] * pad)
+        return cls(ram, 0, spread.coeffs + (Fraction(0),) * pad)
 
 
 def puiseux_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    ram = _lcm(a.ram, b.ram)
+    # mul keeps the shorter window: hi = min(a.hi + b.lo, b.hi + a.lo)
+    ram = math.lcm(a.ram, b.ram)
     a, b = a.reindex(ram), b.reindex(ram)
-    lo = a.lo + b.lo
-    hi = min(a.hi + b.lo, b.hi + a.lo)
-    out = [Fraction(0)] * (hi - lo + 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        ea = a.lo + i
-        for j, cb in enumerate(b.coeffs):
-            e = ea + b.lo + j
-            if e > hi:
-                break
-            if cb != 0:
-                out[e - lo] += ca * cb
-    return PuiseuxSeries(ram, lo, out)
+    return PuiseuxSeries(ram, a.lo + b.lo,
+                         mul(PowerSeries(a.coeffs), PowerSeries(b.coeffs)).coeffs)
 
 
 def puiseux_pow(a: PuiseuxSeries, e: int) -> PuiseuxSeries:
     if e < 1:
         raise ValidationError("puiseux_pow needs e >= 1")
-    out = a
-    for _ in range(e - 1):
-        out = puiseux_mul(out, a)
-    return out
+    return PuiseuxSeries(a.ram, e * a.lo, power(PowerSeries(a.coeffs), e).coeffs)
 
 
 def puiseux_agree(a: PuiseuxSeries, b: PuiseuxSeries, min_window: int = 1) -> bool:
@@ -315,18 +286,12 @@ def puiseux_agree(a: PuiseuxSeries, b: PuiseuxSeries, min_window: int = 1) -> bo
     The window must contain at least min_window exponents, otherwise the
     comparison is considered vacuous and fails.
     """
-    ram = _lcm(a.ram, b.ram)
+    ram = math.lcm(a.ram, b.ram)
     a, b = a.reindex(ram), b.reindex(ram)
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if hi - lo + 1 < min_window:
         return False
     return all(a.coeff(e) == b.coeff(e) for e in range(lo, hi + 1))
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 def frac_inverse(p: PowerSeries, k: int, leading_root: Fraction | None = None) -> PuiseuxSeries:

@@ -170,36 +170,19 @@ def s_transform(mom: RationalSequence, order: int | None = None):
         raise ValidationError("S-transform needs a nonzero moment")
     psi = PowerSeries([Fraction(0)] + [mom[n] for n in range(1, order + 1)])
     if k == 1:
-        chi = series.comp_inverse(psi)
-        # chi/z * (1+z), an ordinary series of order N-1
-        shifted = PowerSeries(chi.coeffs[1:])
-        return series.mul(shifted, PowerSeries([1, 1] + [0] * (order - 2)), order - 1) \
-            if order >= 2 else shifted
-    if mom[k] < 0:
+        chi_over_z = series.comp_inverse(psi).coeffs[1:]
+    elif mom[k] < 0:
         raise ValidationError(
             f"first nonzero moment m_{k} = {mom[k]} must be positive for the principal branch"
         )
-    chi = series.frac_inverse(psi, k)
-    one_plus_z = PuiseuxSeries(k, 0, [1] + [0] * (k - 1) + [1])
-    out = puiseux_prefactor_mul(chi, one_plus_z)
-    return out.shift(-k)
-
-
-def puiseux_prefactor_mul(a: PuiseuxSeries, poly: PuiseuxSeries) -> PuiseuxSeries:
-    """Multiply by an exact Laurent polynomial without losing window."""
-    ram = a.ram
-    poly = poly.reindex(ram) if poly.ram != ram else poly
-    lo = a.lo + poly.lo
-    hi = a.hi + poly.lo
-    out = [Fraction(0)] * (hi - lo + 1)
-    for j, cp in enumerate(poly.coeffs):
-        if cp == 0:
-            continue
-        for i, ca in enumerate(a.coeffs):
-            e = a.lo + i + poly.lo + j
-            if lo <= e <= hi:
-                out[e - lo] += ca * cp
-    return PuiseuxSeries(ram, lo, out)
+    else:
+        # chi = b_1 w + ... in w = z^(1/k), so chi/z starts at w^(1-k)
+        chi_over_z = series.frac_inverse(psi, k).coeffs
+    # (1+z) chi/z with z = w^k; the sparse factor goes first so that mul
+    # skips its zero coefficients
+    one_plus_z = PowerSeries([1] + [0] * (k - 1) + [1])
+    out = series.mul(one_plus_z, PowerSeries(chi_over_z), len(chi_over_z) - 1)
+    return out if k == 1 else PuiseuxSeries(k, 1 - k, out.coeffs)
 
 
 def _as_puiseux(s) -> PuiseuxSeries:
@@ -262,52 +245,48 @@ def rescale_to_monic(mom: RationalSequence, k: int) -> tuple:
 # Hankel positivity
 
 
-def _det(rows) -> Fraction:
-    # fraction-exact Gaussian elimination with partial support for zeros
+def _is_psd(rows) -> bool:
+    """Exact LDL^T test that a symmetric matrix is positive semidefinite.
+
+    Each pivot is eliminated from the Schur complement (upper triangle
+    only).  A negative pivot fails; a zero pivot fails unless the rest of
+    its row is zero, and then its row and column drop out.
+    """
     m = [list(r) for r in rows]
     n = len(m)
-    det = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+        d, row = m[col][col], m[col]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(row[j] for j in range(col + 1, n)):
+                return False
+            continue
+        for i in range(col + 1, n):
+            f = row[i] / d
+            if f:
+                mi = m[i]
+                for j in range(i, n):
+                    mi[j] -= f * row[j]
+    return True
 
 
 def hankel_check(mom: RationalSequence, stieltjes: bool = False) -> bool:
-    """Non-strict Hankel positivity of (1, m_1, m_2, ...).
+    """Hankel positivity of (1, m_1, m_2, ...).
 
-    det(m_{i+j}) >= 0 for all sizes the sequence supports; with
-    stieltjes also the shifted determinants det(m_{i+j+1}) >= 0, the
-    certificate for support in [0, infinity).
+    The largest Hankel matrix (m_{i+j}) the sequence supports must be
+    positive semidefinite; with stieltjes also the largest shifted matrix
+    (m_{i+j+1}), the certificate for support in [0, infinity).  This is
+    necessary for a representing measure, not sufficient: the
+    Curto-Fialkow flat-extension condition is not checked.
     """
     full = [Fraction(1)] + list(mom)
 
-    def moment(i: int) -> Fraction:
-        return full[i]
+    def hankel(shift: int) -> list:
+        r = (len(full) - 1 - shift) // 2
+        return [[full[i + j + shift] for j in range(r + 1)] for i in range(r + 1)]
 
-    max_plain = (len(full) - 1) // 2
-    for r in range(max_plain + 1):
-        rows = [[moment(i + j) for j in range(r + 1)] for i in range(r + 1)]
-        if _det(rows) < 0:
-            return False
-    if stieltjes:
-        max_shift = (len(full) - 2) // 2
-        for r in range(max_shift + 1):
-            rows = [[moment(i + j + 1) for j in range(r + 1)] for i in range(r + 1)]
-            if _det(rows) < 0:
-                return False
-    return True
+    return _is_psd(hankel(0)) and (not stieltjes or _is_psd(hankel(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +377,9 @@ class WordMomentEvaluator:
     """
 
     def __init__(self, variables):
+        variables = list(variables)
         self.vars = {v.label: v for v in variables}
-        if len(self.vars) != len(list(variables)):
+        if len(self.vars) != len(variables):
             raise ValidationError("duplicate variable labels")
         self._memo: dict = {}
 

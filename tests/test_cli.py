@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from freeprob.cli import run
 
@@ -168,6 +170,35 @@ def test_decimal_rendering(tmp_path, capsys):
     assert data["cumulants_decimal"][0] == "0.5000"
 
 
+def test_decimal_rendering_is_exact(tmp_path, capsys):
+    # float(v) overflowed past 1e308 and dropped digits past 2^53
+    code, out, err = run_cli(capsys, "conv", "moebius", "--order", "600", "--decimal", "2")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["values_decimal"][:4] == ["1.00", "-1.00", "2.00", "-5.00"]
+    assert data["values_decimal"][-1] == data["values"][-1][:-2] + ".00"
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(["300000000000000001/3"]))
+    code, out, _ = run_cli(capsys, "transform", "boxplus-power", "--in", str(f),
+                           "--t", "1", "--decimal", "2")
+    assert code == 0 and json.loads(out)["cumulants_decimal"] == ["100000000000000000.33"]
+
+
+@pytest.mark.parametrize("value,places,text", [
+    ("1/8", 2, "0.12"), ("3/8", 2, "0.38"), ("-1/3", 0, "-0"), ("-1/1000", 2, "-0.00"),
+    ("2/3", 0, "1"), ("5/1", 3, "5.000"), ("1/16", 4, "0.0625"), ("-7/2", 1, "-3.5"),
+    ("6411/200", 2, "32.06"),
+])
+def test_decimal_rounds_half_to_even_like_float_formatting(tmp_path, capsys, value, places,
+                                                            text):
+    # same layout as "%.{places}f"; ties round half to even on the exact value
+    f = tmp_path / "v.json"
+    f.write_text(json.dumps([value]))
+    code, out, _ = run_cli(capsys, "transform", "boxplus-power", "--in", str(f),
+                           "--t", "1", "--decimal", str(places))
+    assert code == 0 and json.loads(out)["cumulants_decimal"] == [text]
+
+
 def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "nc", "enumerate", "--n", "25")
     assert code == 3 and json.loads(err)["kind"] == "resource-limit"
@@ -291,3 +322,122 @@ def test_series_file_reads_like_a_sequence_file(tmp_path, capsys):
     assert code == 0 and out == run_cli(capsys, "series", "invert", "--in", str(strs))[1]
     strs.write_text(json.dumps({"c0": "0/1"}))
     assert _validation_error(capsys, "series", "invert", "--in", str(strs))
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every verb, small and out-of-range integers, junk rationals,
+# valid and malformed JSON files.  Sizes stay small (order, n <= 8, k * n <= 8
+# where NC(kn) is walked, matmodel N <= 20 and trials <= 3) so each call is
+# quick; stdin (-) and -h are never passed.
+
+FUZZ_FILES = {
+    "seq": ["1/1", "2/1", "5/1", "14/1", "42/1", "132/1", "429/1", "1430/1"],
+    "seq-short": ["1/2", "1/3"],
+    "seq-zero-led": ["0/1", "1/1", "0/1", "2/1", "0/1", "5/1"],
+    "seq-numbers": [0, 1, 1, -2],
+    "seq-empty": [],
+    "seq-nested": [[1]],
+    "seq-junk": ["x", "1/0"],
+    "law": {"k": 2, "base": ["1/1", "2/1", "5/1", "14/1", "42/1", "132/1", "429/1", "1430/1"],
+            "valid": True},
+    "law-k3": {"k": 3, "base": ["1/1", "3/1", "12/1"], "valid": None},
+    "law-bad-k": {"k": "2", "base": ["1/1"]},
+    "law-no-base": {"k": 2},
+    "vars": [{"label": "x", "moments": ["1/2", "1/1", "2/1"]},
+             {"label": "y", "moments": ["0/1", "1/1"], "period": 2}],
+    "vars-dup": [{"label": "x", "moments": ["1/1"]}, {"label": "x", "moments": ["1/1"]}],
+    "vars-bad": [{"moments": ["1/1"]}],
+    "object": {"a": 1},
+}
+
+# each option is valid about half the time or more, so that every verb
+# also reaches its exit-0 path
+small_ints = st.one_of(st.integers(1, 8), st.integers(-2, 8))
+junk_rationals = st.one_of(
+    st.sampled_from(["1", "1/2", "7/3", "2.5"]),
+    st.sampled_from(["0", "-1", "-3/4", "1e2", "abc", "1/0", "", "nan", "inf"]))
+words = st.one_of(st.sampled_from(["x:1", "x:1,y:1", "x:2,y:-1,x:1", "y:3"]),
+                  st.sampled_from(["z:1", "x:5", "x", "x:a", ""]))
+matrix_words = st.one_of(st.sampled_from(["1:1,2:1", "1:1,2:1,1:-1,2:-1", "1:2"]),
+                         st.sampled_from(["0:1", "9:1", "1:x", ""]))
+partitions = st.one_of(st.sampled_from(["{1,2}{3,4}", "{1,3}{2}", "{1}"]),
+                       st.sampled_from(["{1,2", "{0}", "{1}{1}", ""]))
+SEQS = ("seq-short", "seq-zero-led", "seq-numbers", "seq-empty", "seq-nested", "seq-junk",
+        "object", "missing")
+LAWS = ("law-k3", "law-bad-k", "law-no-base", "seq", "missing")
+VARS = ("vars-dup", "vars-bad", "seq", "missing")
+
+
+@st.composite
+def size_pair(draw):
+    """(k, n) with k * n <= 8 whenever both are positive."""
+    n = draw(small_ints)
+    top = max(1, 8 // max(n, 1))
+    return draw(st.one_of(st.integers(1, top), st.integers(-2, top))), n
+
+
+@st.composite
+def fuzz_argv(draw):
+    def file(good, others):
+        return "@" + draw(st.sampled_from((good,) * len(others) + others))
+
+    def i():
+        return str(draw(small_ints))
+
+    def r():
+        return draw(junk_rationals)
+    k, n = draw(size_pair())
+    argv = draw(st.sampled_from([
+        ["nc", "count", "--kind", draw(st.sampled_from(
+            ["nc", "kdivisible", "kequal", "multichains"])), "--k", i(), "--n", i()],
+        ["nc", "enumerate", "--kind", draw(st.sampled_from(["nc", "kdivisible", "kequal"])),
+         "--k", str(k), "--n", str(n)],
+        ["nc", "kreweras", "--partition", draw(partitions)],
+        ["conv", "zeta-power", "--in", file("seq", SEQS), "--k", str(k), "--order", str(n)],
+        ["conv", "moebius", "--order", i()],
+        ["series", "invert", "--in", file("seq-zero-led", SEQS)] + draw(st.sampled_from(
+            [[], ["--frac", i()]])),
+        ["series", "solve-fe", "--in", file("seq", SEQS), "--k", i()],
+        ["transform", "m2c", "--in", file("seq", SEQS)],
+        ["transform", "c2m", "--in", file("seq", SEQS), "--order", i()],
+        ["transform", "boxtimes", "--a", file("seq", SEQS), "--b", file("seq-numbers", SEQS)],
+        ["transform", "boxplus-power", "--in", file("seq", SEQS), "--t", r()],
+        ["transform", "s-transform", "--in", file("seq-zero-led", SEQS)],
+        ["transform", "word-moment", "--vars", file("vars", VARS), "--word", draw(words)],
+        ["ksym", "semicircle", "--k", i(), "--order", i()],
+        ["ksym", "bessel", "--k", i(), "--order", i()],
+        ["ksym", "compound-poisson", "--k", i(), "--rate", r(), "--jump", file("law", LAWS),
+         "--order", i()],
+        ["ksym", "clt", "--in", file("law", LAWS), "--n-samples", i(), "--order", i()],
+        ["ksym", "poisson-limit", "--k", i(), "--rate", r(), "--jump", file("law", LAWS),
+         "--n-samples", i(), "--order", i()],
+        ["ksym", "stable-check", "--k", i(), "--t", r(), "--s", r()],
+        ["matmodel", "run", "--r", i(), "--N", str(draw(st.integers(-2, 20))), "--k", i(),
+         "--word", draw(matrix_words), "--trials", str(draw(st.integers(-1, 3))),
+         "--seed", str(draw(st.integers(0, 5)))],
+    ]))
+    extras = draw(st.sampled_from([[]] * 4 + [
+        ["--decimal", i()], ["--format", "csv"], ["--format", "xml"], ["--bogus"]]))
+    return argv + extras
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argv())
+def test_every_argv_keeps_the_cli_contract(tmp_path, capsys, argv):
+    # the files are written once and only read; capsys is drained per call
+    paths = {name: tmp_path / f"{name}.json" for name in FUZZ_FILES}
+    for name, payload in FUZZ_FILES.items():
+        if not paths[name].exists():
+            paths[name].write_text(json.dumps(payload))
+    paths["missing"] = tmp_path / "missing.json"
+    argv = [str(paths[a[1:]]) if a.startswith("@") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1
+        diag = json.loads(err)
+        assert isinstance(diag, dict) and {"error", "kind"} <= diag.keys()
+    else:
+        assert err == ""
+    assert run_cli(capsys, *argv) == (code, out, err)

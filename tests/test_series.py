@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from freeprob import ncpart as nc
 from freeprob import series as se
+from freeprob import transforms as tr
 from freeprob.errors import IrrationalRootError, ValidationError
+from freeprob.sequences import RationalSequence
 from freeprob.series import PowerSeries, PuiseuxSeries
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -369,3 +372,150 @@ def test_frac_inverse_negative_root_and_non_unit_leading_coefficient():
     assert chi.coeff(1) == Fraction(3, 2)
     assert list(chi.coeffs) == old_root_inverse(cubic, 3, Fraction(3, 2))
     assert all_fractions(chi.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the Puiseux layer: the coefficient loops that puiseux_mul,
+# puiseux_pow, from_power_series and the S-transform prefactor used before
+# they moved onto mul and power.
+
+
+def old_puiseux_mul(a, b):
+    """Two-window product loop, exact on w^lo..w^min(a.hi + b.lo, b.hi + a.lo)."""
+    ram = a.ram * b.ram // math.gcd(a.ram, b.ram)
+    a, b = a.reindex(ram), b.reindex(ram)
+    lo = a.lo + b.lo
+    hi = min(a.hi + b.lo, b.hi + a.lo)
+    out = [Fraction(0)] * (hi - lo + 1)
+    for i, ca in enumerate(a.coeffs):
+        if ca == 0:
+            continue
+        ea = a.lo + i
+        for j, cb in enumerate(b.coeffs):
+            e = ea + b.lo + j
+            if e > hi:
+                break
+            if cb != 0:
+                out[e - lo] += ca * cb
+    return PuiseuxSeries(ram, lo, out)
+
+
+def old_puiseux_pow(a, e):
+    """Repeated multiplication by a."""
+    if e < 1:
+        raise ValidationError("puiseux_pow needs e >= 1")
+    out = a
+    for _ in range(e - 1):
+        out = old_puiseux_mul(out, a)
+    return out
+
+
+def old_prefactor_mul(a, poly):
+    """Multiply by an exact Laurent polynomial, keeping a's window length."""
+    poly = poly.reindex(a.ram) if poly.ram != a.ram else poly
+    lo = a.lo + poly.lo
+    hi = a.hi + poly.lo
+    out = [Fraction(0)] * (hi - lo + 1)
+    for j, cp in enumerate(poly.coeffs):
+        if cp == 0:
+            continue
+        for i, ca in enumerate(a.coeffs):
+            e = a.lo + i + poly.lo + j
+            if lo <= e <= hi:
+                out[e - lo] += ca * cp
+    return PuiseuxSeries(a.ram, lo, out)
+
+
+def old_from_power_series(p, ram):
+    coeffs = [Fraction(0)] * (p.order * ram + 1)
+    for i, c in enumerate(p.coeffs):
+        coeffs[i * ram] = c
+    return PuiseuxSeries(ram, 0, coeffs + [Fraction(0)] * (ram - 1))
+
+
+def old_s_transform(mom, order):
+    """S = (1+z) chi/z through the prefactor loop for every k >= 2."""
+    k = next(n for n in range(1, order + 1) if mom[n] != 0)
+    psi = PowerSeries([0] + [mom[n] for n in range(1, order + 1)])
+    if k == 1:
+        shifted = PowerSeries(se.comp_inverse(psi).coeffs[1:])
+        return se.mul(shifted, PowerSeries([1, 1] + [0] * (order - 2)), order - 1) \
+            if order >= 2 else shifted
+    chi = se.frac_inverse(psi, k)
+    out = old_prefactor_mul(chi, PuiseuxSeries(k, 0, [1] + [0] * (k - 1) + [1]))
+    return out.shift(-k)
+
+
+def same_puiseux(a, b):
+    return (a.ram, a.lo, a.coeffs) == (b.ram, b.lo, b.coeffs) and all_fractions(a.coeffs)
+
+
+window_coeffs = st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=1, max_size=8)
+puiseux_st = st.builds(PuiseuxSeries, st.sampled_from([1, 2, 3, 6]),
+                       st.integers(min_value=-3, max_value=3), window_coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(puiseux_st, puiseux_st)
+def test_puiseux_mul_matches_old_loop(a, b):
+    assert same_puiseux(se.puiseux_mul(a, b), old_puiseux_mul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(puiseux_st, st.integers(min_value=1, max_value=4))
+def test_puiseux_pow_matches_repeated_multiplication(a, e):
+    assert same_puiseux(se.puiseux_pow(a, e), old_puiseux_pow(a, e))
+
+
+def test_puiseux_pow_rejects_non_positive_exponents():
+    for e in (0, -1):
+        with pytest.raises(ValidationError, match="puiseux_pow needs e >= 1"):
+            se.puiseux_pow(PuiseuxSeries(2, 1, [1, 2]), e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(window_coeffs, st.sampled_from([1, 2, 3, 6]))
+def test_from_power_series_matches_old_loop(coeffs, ram):
+    p = PowerSeries(coeffs)
+    assert same_puiseux(PuiseuxSeries.from_power_series(p, ram), old_from_power_series(p, ram))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), window_coeffs)
+def test_one_plus_z_product_matches_old_prefactor_loop(k, coeffs):
+    # the product s_transform takes: (1 + w^k) chi/z over chi's own window
+    chi = PuiseuxSeries(k, 1, coeffs)
+    one_plus_z = [1] + [0] * (k - 1) + [1]
+    got = se.mul(PowerSeries(one_plus_z), PowerSeries(coeffs), len(coeffs) - 1)
+    want = old_prefactor_mul(chi, PuiseuxSeries(k, 0, one_plus_z)).shift(-k)
+    assert same_puiseux(PuiseuxSeries(k, 1 - k, got.coeffs), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6),
+       st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3),
+       st.lists(rationals, min_size=6, max_size=6))
+def test_s_transform_matches_old_prefactor_route(k, extra, root, tail):
+    # m_k = root^-k keeps the leading root rational
+    mom = RationalSequence([0] * (k - 1) + [1 / root ** k] + tail[:extra])
+    got, want = tr.s_transform(mom), old_s_transform(mom, mom.order)
+    if k == 1:
+        assert isinstance(got, PowerSeries) and got == want and all_fractions(got.coeffs)
+    else:
+        assert same_puiseux(got, want)
+
+
+def test_s_transform_at_order_k_has_a_one_coefficient_window():
+    for k in range(1, 5):
+        s = tr.s_transform(RationalSequence([0] * (k - 1) + [Fraction(1, 8 ** k)]), k)
+        if k == 1:
+            assert s == PowerSeries([8])
+        else:
+            assert (s.ram, s.lo, s.coeffs) == (k, 1 - k, (Fraction(8),))
+
+
+def test_s_transform_negative_leading_moment_message():
+    for k, m in ((2, Fraction(-1)), (3, Fraction(-8, 3))):
+        with pytest.raises(ValidationError, match=(
+                f"^first nonzero moment m_{k} = {m} must be positive for the principal branch$")):
+            tr.s_transform(RationalSequence([0] * (k - 1) + [m, 1, 2]))

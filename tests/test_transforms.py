@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeprob import incidence as inc
+from freeprob import ksym
 from freeprob import ncpart as nc
 from freeprob import series as se
 from freeprob import transforms as tr
@@ -320,6 +321,34 @@ def test_hankel_accepts_atoms():
     assert tr.hankel_check(m, stieltjes=True)
 
 
+def test_hankel_rejects_a_negative_pivot_behind_a_zero_minor():
+    # every leading minor of (0, 0, 0, -1) is >= 0, but m_4 < 0
+    m = RationalSequence([0, 0, 0, -1])
+    assert not tr.hankel_check(m)
+    assert not tr.hankel_check(m, stieltjes=True)
+    assert not ksym.KSymmetricDistribution(1, m).check_validity()
+    # a zero pivot with a nonzero rest of its row: m_2 = 0 but m_3 != 0
+    assert not tr.hankel_check(RationalSequence([0, 0, 1, 1]))
+    # PSD, though not a moment sequence (needs the flat-extension condition)
+    assert tr.hankel_check(RationalSequence([0, 0, 0, 1]))
+
+
+atoms_st = st.lists(
+    st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+              st.integers(min_value=1, max_value=5)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(atoms_st, st.integers(min_value=1, max_value=9))
+def test_hankel_accepts_every_atomic_measure(atoms, order):
+    total = sum(w for _, w in atoms)
+    mom = tr.atomic_moments([(x, Fraction(w, total)) for x, w in atoms], order)
+    assert tr.hankel_check(mom)
+    positive = [(abs(x), Fraction(w, total)) for x, w in atoms]
+    assert tr.hankel_check(tr.atomic_moments(positive, order), stieltjes=True)
+
+
 # --- word moments -----------------------------------------------------------
 
 
@@ -393,6 +422,17 @@ def test_word_moment_period_variables():
     assert ev.phi([("u1", 1), ("u2", 1), ("u1", -1), ("u2", -1)]) == 0
     assert ev.phi([("u1", k), ("u2", k)]) == 1
     assert ev.phi([("u1", -2)]) == ev.phi([("u1", 1)]) == 0
+
+
+def test_word_moment_accepts_any_iterable_of_variables():
+    x = tr.FreeVariable("x", RationalSequence([Fraction(1, 2), 2, 3]))
+    y = tr.FreeVariable("y", RationalSequence([1, 3, 5]))
+    word = [("x", 1), ("y", 1), ("x", 1)]
+    want = tr.free_word_moment([x, y], word)
+    assert tr.free_word_moment(iter([x, y]), word) == want
+    assert tr.free_word_moment((v for v in (x, y)), word) == want
+    with pytest.raises(ValidationError, match="duplicate variable labels"):
+        tr.free_word_moment(iter([x, y, x]), word)
 
 
 def test_word_moment_rejects_negative_power_without_period():
