@@ -6,27 +6,38 @@ is (f*g)_n = sum over pi in NC(n) of f_pi g_{Kr(pi)}; the all-ones zeta
 family and its inverse, the Moebius family, are the distinguished
 elements.
 
-The convolution never walks NC(n) twice: a per-n histogram keyed by the
-pair (block sizes of pi, block sizes of Kr(pi)) is built once by
-enumeration and cached, collapsing the Catalan-sized sum to a sum over
-partition-type pairs with integer multiplicities.  Only
-`kdivisible_conv`, the convolution in the lattice of k-divisible
-partitions, reads these histograms; `conv` is its k = 1 case.
+Two independent routes compute every convolution.  The series route
+(the default) uses the Nica-Speicher Fourier transform of multiplicative
+families, F(f)(z) = f^{<-1>}(z)/z with F(f*g) = F(f) F(g), where
+f(z) = sum f_n z^n; a zeta power g * zeta^k is the A with
+A = B(z A^k), B = 1 + g(z).  Both are Lagrange inversions in `series`
+and cost polynomial time.
+
+The enumeration route is the test oracle.  It never walks NC(n) twice: a
+per-n histogram keyed by the pair (block sizes of pi, block sizes of
+Kr(pi)) is built once by enumeration and cached, collapsing the
+Catalan-sized sum to a sum over partition-type pairs with integer
+multiplicities.  Only `kdivisible_conv`, the convolution in the lattice
+of k-divisible partitions, reads these histograms; the "enumeration"
+route of `conv` is its k = 1 case.  `max_n` (or FREEPROB_MAX_N) bounds
+only these walks.
 
 Routes go through `errors.run_route` ("both" runs all and checks that
-they agree): `zeta_power_conv` has "iterated" and "dilated".
+they agree): `conv` has "series" and "enumeration", `zeta_power_conv`
+has "series", "iterated" and "dilated".
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
-from . import ncpart
+from . import ncpart, series
 from .errors import ValidationError, run_route
 from .ncpart import kreweras
 from .sequences import RationalSequence
+from .series import PowerSeries
 
 _stats_lock = threading.Lock()
 _pair_stats: dict = {}
@@ -88,11 +99,50 @@ def moebius_family(order: int) -> RationalSequence:
 
 
 def conv(f: RationalSequence, g: RationalSequence, order: int | None = None,
-         max_n: int | None = None) -> RationalSequence:
-    """(f*g)_n = sum over pi in NC(n) of f_pi g_{Kr(pi)}, n = 1..order."""
+         max_n: int | None = None, route: str = "series") -> RationalSequence:
+    """(f*g)_n = sum over pi in NC(n) of f_pi g_{Kr(pi)}, n = 1..order.
+
+    route "series" multiplies Nica-Speicher transforms, "enumeration"
+    walks the NC(n) pair-type histograms (max_n bounds only this route).
+    """
     if order is None:
         order = min(f.order, g.order)
-    return kdivisible_conv(1, f, g, order, max_n)
+    if min(f.order, g.order) < order:
+        raise ValidationError("operand order too small for requested convolution order")
+
+    def by_series() -> RationalSequence:
+        if order < 1:
+            return RationalSequence([])  # the walk's empty-sequence error
+        fv, gv = f.values[:order], g.values[:order]
+        if fv[0] and gv[0]:
+            return RationalSequence(_boxed_by_transform(fv, gv))
+        # Set each zero leading entry to c.  A term f_pi g_{Kr(pi)} has at
+        # most |pi| + |Kr(pi)| = n + 1 singleton factors, so entry n is a
+        # polynomial of degree <= n + 1 in c; its (order + 2)-th finite
+        # difference over c = 0..order+2 vanishes, which gives c = 0 from
+        # the nodes c = 1..order+2.
+        nodes = order + 2
+        out = [0] * order
+        for c in range(1, nodes + 1):
+            at_c = _boxed_by_transform((fv[0] or c, *fv[1:]), (gv[0] or c, *gv[1:]))
+            w = (-1) ** (c - 1) * comb(nodes, c)
+            out = [o + w * x for o, x in zip(out, at_c)]
+        return RationalSequence(out)
+
+    return run_route("conv", route, {
+        "series": by_series,
+        "enumeration": lambda: kdivisible_conv(1, f, g, order, max_n),
+    })
+
+
+def _boxed_by_transform(fv: tuple, gv: tuple) -> list:
+    """(f*g)_1..(f*g)_N from F(f*g) = F(f) F(g) with F(a)(z) = a^{<-1>}(z)/z,
+    for N >= 1 entries of f and g with f_1, g_1 != 0."""
+    def fourier(v) -> PowerSeries:
+        return PowerSeries(series.comp_inverse(PowerSeries([0, *v])).coeffs[1:])
+
+    h_inverse = PowerSeries([0, *series.mul(fourier(fv), fourier(gv)).coeffs])
+    return series.comp_inverse(h_inverse).coeffs[1:]
 
 
 def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | None,
@@ -143,13 +193,14 @@ def undilate(a: RationalSequence, k: int) -> RationalSequence:
 
 
 def zeta_power_conv(g: RationalSequence, k: int, order: int,
-                    route: str = "both", max_n: int | None = None) -> RationalSequence:
+                    route: str = "series", max_n: int | None = None) -> RationalSequence:
     """g * zeta * ... * zeta (k convolutions with the all-ones family).
 
-    Two routes are available and must agree: "iterated" convolves k
-    times at order n, "dilated" convolves the k-dilated sequence with
-    zeta once at order kn and undilates.  The default computes both and
-    raises RouteMismatchError on disagreement.
+    Three routes are available and must agree: "series" solves
+    A = B(z A^k) for A = 1 + (g * zeta^k)(z) with B = 1 + g(z),
+    "iterated" convolves k times at order n by enumeration, "dilated"
+    convolves the k-dilated sequence with zeta once at order kn by
+    enumeration and undilates.  max_n bounds only the enumeration routes.
     """
     if k < 0:
         raise ValidationError("zeta power must be >= 0")
@@ -157,6 +208,10 @@ def zeta_power_conv(g: RationalSequence, k: int, order: int,
         raise ValidationError("operand order too small")
     if k == 0:
         return g.prefix(order)
+
+    def by_series() -> RationalSequence:
+        b = PowerSeries.from_sequence_with_unit(g, order)
+        return RationalSequence(series.solve_A_given_B(b, k, order).tail_sequence())
 
     def iterated() -> RationalSequence:
         out = g.prefix(order)
@@ -168,7 +223,8 @@ def zeta_power_conv(g: RationalSequence, k: int, order: int,
         lifted = dilate(g.prefix(order), k)
         return undilate(kdivisible_conv(1, lifted, None, k * order, max_n), k)
 
-    return run_route("zeta_power_conv", route, {"iterated": iterated, "dilated": dilated})
+    return run_route("zeta_power_conv", route,
+                     {"series": by_series, "iterated": iterated, "dilated": dilated})
 
 
 def multichain_count_enumerated(length: int, n: int, max_n: int | None = None) -> int:

@@ -211,12 +211,14 @@ def xk_of_kdivisible(alpha: RationalSequence, k: int, order: int) -> RationalSeq
 
 
 def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
-                           route: str = "both") -> RationalSequence:
+                           route: str = "iterated") -> RationalSequence:
     """Moments of the k-fold free multiplicative power of a positive law:
     m_n = sum over k-divisible pi in NC(kn) of kappa_{Kr(pi)}(mu).
 
-    route "enumeration" walks the k-divisible partition types, route
-    "iterated" convolves cumulants k-1 times; "both" checks agreement.
+    route "iterated" (the default) convolves cumulants k-1 times on the
+    series route of conv, route "enumeration" walks the k-divisible
+    partition types and needs moments up to k*order; "both" checks
+    agreement.
     """
     if not transforms.hankel_check(mu.prefix(min(mu.order, 2 * order)), stieltjes=True):
         raise ValidationError("mu fails the Stieltjes moment test")

@@ -40,7 +40,7 @@ def cumulants_to_moments(cum: RationalSequence, order: int | None = None,
         return RationalSequence(m.tail_sequence())
 
     def by_enum() -> RationalSequence:
-        return incidence.conv(cum.prefix(order), incidence.zeta_family(order), order)
+        return incidence.kdivisible_conv(1, cum.prefix(order), None, order)
 
     return run_route("cumulants_to_moments", route,
                      {"series": by_series, "enumeration": by_enum, "moebius": by_enum})
@@ -60,7 +60,8 @@ def moments_to_cumulants(mom: RationalSequence, order: int | None = None,
         return RationalSequence(c.tail_sequence())
 
     def by_moebius() -> RationalSequence:
-        return incidence.conv(mom.prefix(order), incidence.moebius_family(order), order)
+        return incidence.kdivisible_conv(1, mom.prefix(order),
+                                         incidence.moebius_family(order), order)
 
     return run_route("moments_to_cumulants", route,
                      {"series": by_series, "enumeration": by_moebius, "moebius": by_moebius})
@@ -116,7 +117,7 @@ def products_as_arguments(cum: RationalSequence, grouping) -> Fraction:
 
 
 def kdiv_power_cumulants(alpha: RationalSequence, k: int, order: int,
-                         route: str = "enumeration") -> RationalSequence:
+                         route: str = "zeta") -> RationalSequence:
     """Cumulants of x^k for a k-divisible x with determining sequence
     alpha_n = kappa_{kn}(x).
 
@@ -125,7 +126,9 @@ def kdiv_power_cumulants(alpha: RationalSequence, k: int, order: int,
       (k-1)-dilated alpha, i.e. a sum over (k-1)-divisible partitions;
     * "two-stage": the same with one zeta factor peeled off, summing a
       (k-2)-stage sequence over NC(n);
-    * "zeta": alpha convolved with zeta (k-1) times.
+    * "zeta" (the default): alpha convolved with zeta (k-1) times, on the
+      series route of zeta_power_conv.
+    The first two walk the partition-type histograms.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")

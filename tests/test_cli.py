@@ -55,6 +55,21 @@ def test_conv_verbs(tmp_path, capsys):
     assert json.loads(out)["values"] == ["1/1", "-1/1", "2/1", "-5/1"]
 
 
+def test_zeta_power_runs_on_the_series_route(tmp_path, capsys):
+    # Catalan * zeta^2 = delta * zeta^4: the Fuss-Catalan numbers
+    # binom(4n, n)/(3n + 1).  Walking NC(kn) here took over a minute.
+    seq = tmp_path / "catalan.json"
+    seq.write_text(json.dumps([str(c) for c in (1, 2, 5, 14, 42, 132, 429, 1430)]))
+    code, out, _ = run_cli(capsys, "conv", "zeta-power", "--in", str(seq), "--k", "2",
+                           "--order", "8")
+    assert code == 0
+    assert json.loads(out)["values"] == [
+        f"{v}/1" for v in (1, 4, 22, 140, 969, 7084, 53820, 420732)]
+    code, out, _ = run_cli(capsys, "conv", "zeta-power", "--in", str(seq), "--k", "3",
+                           "--order", "5")
+    assert code == 0 and json.loads(out)["values"][-1] == "2530/1"
+
+
 def test_series_verbs(tmp_path, capsys):
     f = tmp_path / "p.json"
     f.write_text(json.dumps(["0/1", "1/1", "1/1", "0/1", "0/1"]))
@@ -327,8 +342,8 @@ def test_series_file_reads_like_a_sequence_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # argv fuzzing: every verb, small and out-of-range integers, junk rationals,
 # valid and malformed JSON files.  Sizes stay small (order, n <= 8, k * n <= 8
-# where NC(kn) is walked, matmodel N <= 20 and trials <= 3) so each call is
-# quick; stdin (-) and -h are never passed.
+# where `nc enumerate` walks NC(kn), matmodel N <= 20 and trials <= 3) so
+# each call is quick; stdin (-) and -h are never passed.
 
 FUZZ_FILES = {
     "seq": ["1/1", "2/1", "5/1", "14/1", "42/1", "132/1", "429/1", "1430/1"],
@@ -393,7 +408,7 @@ def fuzz_argv(draw):
         ["nc", "enumerate", "--kind", draw(st.sampled_from(["nc", "kdivisible", "kequal"])),
          "--k", str(k), "--n", str(n)],
         ["nc", "kreweras", "--partition", draw(partitions)],
-        ["conv", "zeta-power", "--in", file("seq", SEQS), "--k", str(k), "--order", str(n)],
+        ["conv", "zeta-power", "--in", file("seq", SEQS), "--k", i(), "--order", i()],
         ["conv", "moebius", "--order", i()],
         ["series", "invert", "--in", file("seq-zero-led", SEQS)] + draw(st.sampled_from(
             [[], ["--frac", i()]])),

@@ -116,6 +116,55 @@ def test_zeta_power_routes_agree(g, k):
     assert inc.zeta_power_conv(g.prefix(order), k, order) == a
 
 
+def _zero_led(a: RationalSequence, zero: bool) -> RationalSequence:
+    return RationalSequence([0, *a.values[1:]]) if zero else a
+
+
+@settings(max_examples=40, deadline=None)
+@given(seqs(8), seqs(8), st.integers(min_value=0, max_value=8), st.booleans(), st.booleans())
+def test_conv_series_route_matches_the_walk(f, g, order, f1_zero, g1_zero):
+    # zero leading entries take the interpolation path of the series route
+    f, g = _zero_led(f, f1_zero), _zero_led(g, g1_zero)
+    if order == 0:
+        for route in ("series", "enumeration"):
+            with pytest.raises(ValidationError, match="order >= 1"):
+                inc.conv(f, g, 0, route=route)
+        return
+    walk = inc.conv(f, g, order, route="enumeration")
+    assert inc.conv(f, g, order, route="series") == walk
+    assert inc.conv(g, f, order) == walk
+    assert inc.conv(f, g, order, route="both") == walk
+
+
+def test_conv_series_route_on_both_leading_entries_zero():
+    # pi and Kr(pi) are never both pairings (|pi| + |Kr(pi)| = n + 1), so
+    # pairings convolved with pairings vanish; the series route gets there
+    # by interpolation through nonzero leading entries
+    pair = RationalSequence([0, 1, 0, 0, 0, 0, 0])
+    out = inc.conv(pair, pair, 7)
+    assert list(out) == [0] * 7 and all(isinstance(v, Fraction) for v in out)
+    odd = RationalSequence([0, 1, 1, 0, 2, 0, 0])
+    assert inc.conv(odd, pair, 7) == conv_bruteforce(odd, pair, 7)
+
+
+def test_conv_routes_share_the_operand_order_check():
+    f, g = RationalSequence([1, 2, 3]), RationalSequence([1, 1, 1, 1])
+    for route in ("series", "enumeration"):
+        with pytest.raises(ValidationError, match="operand order too small"):
+            inc.conv(f, g, 4, route=route)
+    assert inc.conv(f, g).order == 3
+
+
+@settings(max_examples=12, deadline=None)
+@given(seqs(8), st.integers(min_value=0, max_value=3))
+def test_zeta_power_series_route_matches_both_walks(g, k):
+    order = min(8, 12 // max(k, 1))
+    g = g.prefix(order)
+    both = inc.zeta_power_conv(g, k, order, route="both")
+    assert inc.zeta_power_conv(g, k, order, route="series") == both
+    assert inc.zeta_power_conv(g, k, order) == both
+
+
 def test_zeta_power_edge_cases():
     g = RationalSequence([2, 3, 4])
     assert inc.zeta_power_conv(g, 0, 3) == g
@@ -192,7 +241,7 @@ def test_concurrent_cache_initialization_is_consistent():
 
     def work():
         z = inc.zeta_family(9)
-        results.append(inc.conv(z, z, 9))
+        results.append(inc.conv(z, z, 9, route="enumeration"))
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     for t in threads:

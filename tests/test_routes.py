@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from freeprob import incidence, ksym, transforms
+from freeprob import incidence, ksym, series, transforms
 from freeprob.errors import RouteMismatchError, ValidationError, run_route
 from freeprob.sequences import RationalSequence
 
 SEQ = RationalSequence([1, 2, 5, 14, 42, 132, 429, 1430])
+ZERO_LED = RationalSequence([0, 1, -2, 3, 1, -1])
 POSITIVE = transforms.point_mass_moments(2, 8)
 
 # one valid call per public function that takes route=, route left open
 ROUTED = {
+    "incidence.conv": lambda route: incidence.conv(SEQ, ZERO_LED, 5, route=route),
     "transforms.cumulants_to_moments": lambda route: transforms.cumulants_to_moments(
         SEQ, 4, route=route),
     "transforms.moments_to_cumulants": lambda route: transforms.moments_to_cumulants(
@@ -85,3 +87,51 @@ def test_moebius_is_an_alias_of_enumeration():
     for fn in (transforms.cumulants_to_moments, transforms.moments_to_cumulants):
         assert fn(SEQ, 5, route="moebius") == fn(SEQ, 5, route="enumeration") \
             == fn(SEQ, 5, route="series")
+
+
+# (call, series routes, enumeration routes).  The enumeration route of
+# boxtimes_power_moments is left out: it walks NC^k(n), but takes its
+# cumulants from the series route of moments_to_cumulants.
+ISOLATED = {
+    "conv": (ROUTED["incidence.conv"], ["series"], ["enumeration"]),
+    "conv, nonzero leading entries": (
+        lambda route: incidence.conv(SEQ, SEQ, 6, route=route), ["series"], ["enumeration"]),
+    "zeta_power_conv": (lambda route: incidence.zeta_power_conv(ZERO_LED, 2, 4, route=route),
+                        ["series"], ["iterated", "dilated"]),
+    "cumulants_to_moments": (lambda route: transforms.cumulants_to_moments(
+        ZERO_LED, 6, route=route), ["series"], ["enumeration"]),
+    "moments_to_cumulants": (lambda route: transforms.moments_to_cumulants(
+        SEQ, 6, route=route), ["series"], ["enumeration"]),
+    "kdiv_power_cumulants": (lambda route: transforms.kdiv_power_cumulants(
+        ZERO_LED, 3, 4, route=route), ["zeta"], ["enumeration", "two-stage"]),
+    "boxtimes_power_moments": (lambda route: ksym.boxtimes_power_moments(
+        POSITIVE, 3, 2, route=route), ["iterated"], []),
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not get here")
+
+
+@pytest.mark.parametrize("name", sorted(ISOLATED))
+def test_series_routes_never_walk_and_enumeration_routes_never_invert(name, monkeypatch):
+    call, series_routes, enumeration_routes = ISOLATED[name]
+    want = call("both")
+    with monkeypatch.context() as patch:
+        patch.setattr(incidence, "kdivisible_pair_stats", _refuse)
+        for route in series_routes:
+            assert call(route) == want
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_lagrange", _refuse)
+        for route in enumeration_routes:
+            assert call(route) == want
+
+
+def test_defaults_are_the_series_routes():
+    defaults = {
+        incidence.conv: "series", incidence.zeta_power_conv: "series",
+        transforms.cumulants_to_moments: "series", transforms.moments_to_cumulants: "series",
+        transforms.kdiv_power_cumulants: "zeta", ksym.boxtimes_power_moments: "iterated",
+    }
+    for fn, route in defaults.items():
+        assert inspect.signature(fn).parameters["route"].default == route
