@@ -143,8 +143,6 @@ def test_conv_series_route_on_both_leading_entries_zero():
     pair = RationalSequence([0, 1, 0, 0, 0, 0, 0])
     out = inc.conv(pair, pair, 7)
     assert list(out) == [0] * 7 and all(isinstance(v, Fraction) for v in out)
-    odd = RationalSequence([0, 1, 1, 0, 2, 0, 0])
-    assert inc.conv(odd, pair, 7) == conv_bruteforce(odd, pair, 7)
 
 
 def test_conv_routes_share_the_operand_order_check():
