@@ -6,32 +6,30 @@ is (f*g)_n = sum over pi in NC(n) of f_pi g_{Kr(pi)}; the all-ones zeta
 family and its inverse, the Moebius family, are the distinguished
 elements.
 
-Two independent routes compute every convolution.  The series route
-(the default) uses the Nica-Speicher Fourier transform of multiplicative
-families, F(f)(z) = f^{<-1>}(z)/z with F(f*g) = F(f) F(g), where
-f(z) = sum f_n z^n; a zeta power g * zeta^k is the A with
-A = B(z A^k), B = 1 + g(z).  Both are Lagrange inversions in `series`
-and cost polynomial time.
+Two independent computations exist for every convolution.  The series
+one, the default, uses the Nica-Speicher Fourier transform of
+multiplicative families, F(f)(z) = f^{<-1>}(z)/z with F(f*g) = F(f) F(g),
+where f(z) = sum f_n z^n: `conv` solves it by Lagrange inversion even
+when a leading entry is zero, and a zeta power g * zeta^k is the A with
+A = B(z A^k), B = 1 + g(z).  Both cost polynomial time.
 
-The enumeration route is the test oracle.  It never walks NC(n) twice: a
-per-n histogram keyed by the pair (block sizes of pi, block sizes of
-Kr(pi)) is built once by enumeration and cached, collapsing the
-Catalan-sized sum to a sum over partition-type pairs with integer
-multiplicities.  Only `kdivisible_conv`, the convolution in the lattice
-of k-divisible partitions, reads these histograms; the "enumeration"
-route of `conv` is its k = 1 case.  `max_n` (or FREEPROB_MAX_N) bounds
-only these walks.
+The walk is the test oracle.  It never walks NC(n) twice: a per-n
+histogram keyed by the pair (block sizes of pi, block sizes of Kr(pi))
+is built once by enumeration and cached, collapsing the Catalan-sized
+sum to a sum over partition-type pairs with integer multiplicities.
+Only `kdivisible_conv`, the convolution in the lattice of k-divisible
+partitions, reads these histograms; its k = 1 case is the walk for
+`conv`.  `max_n` (or FREEPROB_MAX_N) bounds only these walks.
 
 Routes go through `errors.run_route` ("both" runs all and checks that
-they agree): `conv` has "series" and "enumeration", `zeta_power_conv`
-has "series", "iterated" and "dilated".
+they agree): `zeta_power_conv` has "series", "iterated" and "dilated".
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 
 from . import ncpart, series
 from .errors import ValidationError, run_route
@@ -98,51 +96,35 @@ def moebius_family(order: int) -> RationalSequence:
     )
 
 
-def conv(f: RationalSequence, g: RationalSequence, order: int | None = None,
-         max_n: int | None = None, route: str = "series") -> RationalSequence:
+def conv(f: RationalSequence, g: RationalSequence, order: int | None = None) -> RationalSequence:
     """(f*g)_n = sum over pi in NC(n) of f_pi g_{Kr(pi)}, n = 1..order.
 
-    route "series" multiplies Nica-Speicher transforms, "enumeration"
-    walks the NC(n) pair-type histograms (max_n bounds only this route).
+    Computed from Nica-Speicher transforms; kdivisible_conv(1, f, g, order)
+    is the walk over NC(n) that the tests hold it against.
     """
     if order is None:
         order = min(f.order, g.order)
     if min(f.order, g.order) < order:
         raise ValidationError("operand order too small for requested convolution order")
-
-    def by_series() -> RationalSequence:
-        if order < 1:
-            return RationalSequence([])  # the walk's empty-sequence error
-        fv, gv = f.values[:order], g.values[:order]
-        if fv[0] and gv[0]:
-            return RationalSequence(_boxed_by_transform(fv, gv))
-        # Set each zero leading entry to c.  A term f_pi g_{Kr(pi)} has at
-        # most |pi| + |Kr(pi)| = n + 1 singleton factors, so entry n is a
-        # polynomial of degree <= n + 1 in c; its (order + 2)-th finite
-        # difference over c = 0..order+2 vanishes, which gives c = 0 from
-        # the nodes c = 1..order+2.
-        nodes = order + 2
-        out = [0] * order
-        for c in range(1, nodes + 1):
-            at_c = _boxed_by_transform((fv[0] or c, *fv[1:]), (gv[0] or c, *gv[1:]))
-            w = (-1) ** (c - 1) * comb(nodes, c)
-            out = [o + w * x for o, x in zip(out, at_c)]
-        return RationalSequence(out)
-
-    return run_route("conv", route, {
-        "series": by_series,
-        "enumeration": lambda: kdivisible_conv(1, f, g, order, max_n),
-    })
-
-
-def _boxed_by_transform(fv: tuple, gv: tuple) -> list:
-    """(f*g)_1..(f*g)_N from F(f*g) = F(f) F(g) with F(a)(z) = a^{<-1>}(z)/z,
-    for N >= 1 entries of f and g with f_1, g_1 != 0."""
-    def fourier(v) -> PowerSeries:
-        return PowerSeries(series.comp_inverse(PowerSeries([0, *v])).coeffs[1:])
-
-    h_inverse = PowerSeries([0, *series.mul(fourier(fv), fourier(gv)).coeffs])
-    return series.comp_inverse(h_inverse).coeffs[1:]
+    if order < 1:
+        return RationalSequence([])  # the walk's empty-sequence error
+    fv, gv = f.values[:order], g.values[:order]
+    if not gv[0]:
+        fv, gv = gv, fv  # f*g = g*f
+    if not gv[0]:
+        # pi and Kr(pi) both free of singletons would need
+        # |pi| + |Kr(pi)| <= n/2 + n/2, but the sum is n + 1
+        return RationalSequence([0] * order)
+    # F(f*g) = F(f) F(g) means (f*g)^{<-1>}(z) = f^{<-1>}(z) F(g)(z).  At
+    # z = f(w) this reads (f*g)(Phi(w)) = f(w) with Phi(w) = w F(g)(f(w)),
+    # an identity between polynomials in f_1, f_2, ..., so it holds for
+    # f_1 = 0 as well.  Phi(w) = w P(w) / g_1 with P(0) = 1, so
+    # w = (g_1 z) / P(w) inverts it and Lagrange gives (f*g) = f(w(z)).
+    g1 = gv[0]
+    transform = series.comp_inverse(PowerSeries([0, *gv])).coeffs[1:]  # F(g)
+    p = series.compose(PowerSeries([g1 * c for c in transform]), PowerSeries([0, *fv]))
+    lag = series._lagrange(PowerSeries([0, *fv]), p, Fraction(-1), order)
+    return RationalSequence([g1 ** n * c for n, c in enumerate(lag, start=1)])
 
 
 def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | None,

@@ -203,7 +203,7 @@ def xk_of_kdivisible(alpha: RationalSequence, k: int, order: int) -> RationalSeq
         raise ValidationError("alpha is not the cumulant sequence of a positive law")
     return run_route("xk_of_kdivisible", "both", {
         "power": lambda: transforms.cumulants_to_moments(
-            transforms.kdiv_power_cumulants(alpha, k, order), order),
+            transforms.kdiv_power_cumulants(alpha, k, order, route="enumeration"), order),
         "poisson": lambda: transforms.cumulants_to_moments(
             incidence.zeta_power_conv(alpha.prefix(order), k - 1, order, route="iterated"),
             order),
@@ -215,10 +215,9 @@ def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
     """Moments of the k-fold free multiplicative power of a positive law:
     m_n = sum over k-divisible pi in NC(kn) of kappa_{Kr(pi)}(mu).
 
-    route "iterated" (the default) convolves cumulants k-1 times on the
-    series route of conv, route "enumeration" walks the k-divisible
-    partition types and needs moments up to k*order; "both" checks
-    agreement.
+    route "iterated" (the default) convolves cumulants k-1 times with
+    conv, route "enumeration" walks the k-divisible partition types and
+    needs moments up to k*order; "both" checks agreement.
     """
     if not transforms.hankel_check(mu.prefix(min(mu.order, 2 * order)), stieltjes=True):
         raise ValidationError("mu fails the Stieltjes moment test")

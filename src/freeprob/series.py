@@ -17,8 +17,8 @@ inversion core, _lagrange: if w = z phi(w) then [z^n] H(w) =
 (1/n) [w^(n-1)] H'(w) phi(w)^n.  Each function only picks H and
 phi = f^beta (B^k, 1/A, and u^(-1/k) for the inverses); the core takes
 each power phi^n = f^(n beta) from J.C.P. Miller's recurrence, so a solve
-to order N costs O(N^3) coefficient operations.  compose remains for
-check_pair and the tests.
+to order N costs O(N^3) coefficient operations.  compose serves check_pair,
+incidence.conv and the tests.
 
 Truncation order is always explicit.  No operation guesses precision
 and no floating point appears anywhere.
@@ -126,12 +126,15 @@ def compose(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSe
         raise ValidationError("composition needs the inner series to vanish at 0")
     if order is None:
         order = min(a.order, b.order)
-    # Horner from the top coefficient down.
-    out = PowerSeries([a[min(a.order, order)]] + [0] * order)
-    for i in range(min(a.order, order) - 1, -1, -1):
-        out = mul(out, b, order)
-        out = PowerSeries([out[0] + a[i]] + list(out.coeffs[1:]))
-    return out
+    # sum of a_i b^i: b^i vanishes below z^i, which mul skips
+    out = [a[0]] + [Fraction(0)] * order
+    pw = PowerSeries.one(order)
+    for i in range(1, min(a.order, order) + 1):
+        pw = mul(pw, b, order)
+        if a[i]:
+            for j in range(i, order + 1):
+                out[j] += a[i] * pw.coeffs[j]
+    return PowerSeries(out)
 
 
 def power(a: PowerSeries, e: int, order: int | None = None) -> PowerSeries:

@@ -122,34 +122,34 @@ def _zero_led(a: RationalSequence, zero: bool) -> RationalSequence:
 
 @settings(max_examples=40, deadline=None)
 @given(seqs(8), seqs(8), st.integers(min_value=0, max_value=8), st.booleans(), st.booleans())
-def test_conv_series_route_matches_the_walk(f, g, order, f1_zero, g1_zero):
-    # zero leading entries take the interpolation path of the series route
+def test_conv_matches_the_walk(f, g, order, f1_zero, g1_zero):
+    # zero leading entries: one has no Nica-Speicher transform, two
+    # convolve to zero
     f, g = _zero_led(f, f1_zero), _zero_led(g, g1_zero)
     if order == 0:
-        for route in ("series", "enumeration"):
+        for run in (inc.conv, lambda f, g, order: inc.kdivisible_conv(1, f, g, order)):
             with pytest.raises(ValidationError, match="order >= 1"):
-                inc.conv(f, g, 0, route=route)
+                run(f, g, 0)
         return
-    walk = inc.conv(f, g, order, route="enumeration")
-    assert inc.conv(f, g, order, route="series") == walk
+    walk = inc.kdivisible_conv(1, f, g, order)
+    assert inc.conv(f, g, order) == walk
     assert inc.conv(g, f, order) == walk
-    assert inc.conv(f, g, order, route="both") == walk
 
 
-def test_conv_series_route_on_both_leading_entries_zero():
-    # pi and Kr(pi) are never both pairings (|pi| + |Kr(pi)| = n + 1), so
-    # pairings convolved with pairings vanish; the series route gets there
-    # by interpolation through nonzero leading entries
+def test_conv_on_both_leading_entries_zero():
+    # pi and Kr(pi) are never both free of singletons (|pi| + |Kr(pi)| =
+    # n + 1), so pairings convolved with pairings vanish
     pair = RationalSequence([0, 1, 0, 0, 0, 0, 0])
     out = inc.conv(pair, pair, 7)
+    assert out == inc.kdivisible_conv(1, pair, pair, 7)
     assert list(out) == [0] * 7 and all(isinstance(v, Fraction) for v in out)
 
 
-def test_conv_routes_share_the_operand_order_check():
+def test_conv_and_the_walk_share_the_operand_order_check():
     f, g = RationalSequence([1, 2, 3]), RationalSequence([1, 1, 1, 1])
-    for route in ("series", "enumeration"):
+    for run in (inc.conv, lambda f, g, order: inc.kdivisible_conv(1, f, g, order)):
         with pytest.raises(ValidationError, match="operand order too small"):
-            inc.conv(f, g, 4, route=route)
+            run(f, g, 4)
     assert inc.conv(f, g).order == 3
 
 
@@ -239,7 +239,7 @@ def test_concurrent_cache_initialization_is_consistent():
 
     def work():
         z = inc.zeta_family(9)
-        results.append(inc.conv(z, z, 9, route="enumeration"))
+        results.append(inc.kdivisible_conv(1, z, None, 9))
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     for t in threads:

@@ -61,7 +61,7 @@ def test_determining_sequence_roundtrip():
     d = ksym.from_determining_sequence(3, alpha)
     assert d.determining_sequence(4) == alpha
     # the base agrees with the k-divisible power-cumulant route
-    k_of_power = tr.kdiv_power_cumulants(alpha, 3, 4)
+    k_of_power = tr.kdiv_power_cumulants(alpha, 3, 4, route="enumeration")
     assert tr.moments_to_cumulants(d.base.prefix(4), 4) == k_of_power
 
 
@@ -296,6 +296,21 @@ def test_xk_of_kdivisible_poisson_alpha():
     m = ksym.xk_of_kdivisible(RationalSequence.constant(1, 5), 2, 5)
     assert [int(v) for v in m] == [nc.fuss_catalan_kdivisible(2, n)
                                    for n in range(1, 6)]
+
+
+def test_xk_of_kdivisible_checks_the_kdivisible_cumulant_formula(monkeypatch):
+    # the "power" side must walk the k-divisible partitions: on the zeta
+    # route it would be the "poisson" side's zeta power once more
+    routes = []
+    real = tr.kdiv_power_cumulants
+
+    def spy(*args, route="zeta"):
+        routes.append(route)
+        return real(*args, route=route)
+
+    monkeypatch.setattr(tr, "kdiv_power_cumulants", spy)
+    ksym.xk_of_kdivisible(RationalSequence.constant(1, 4), 3, 4)
+    assert routes == ["enumeration"]
 
 
 def test_xk_rejects_signed_alpha():

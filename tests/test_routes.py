@@ -15,7 +15,6 @@ POSITIVE = transforms.point_mass_moments(2, 8)
 
 # one valid call per public function that takes route=, route left open
 ROUTED = {
-    "incidence.conv": lambda route: incidence.conv(SEQ, ZERO_LED, 5, route=route),
     "transforms.cumulants_to_moments": lambda route: transforms.cumulants_to_moments(
         SEQ, 4, route=route),
     "transforms.moments_to_cumulants": lambda route: transforms.moments_to_cumulants(
@@ -92,10 +91,17 @@ def test_moebius_is_an_alias_of_enumeration():
 # (call, series routes, enumeration routes).  The enumeration route of
 # boxtimes_power_moments is left out: it walks NC^k(n), but takes its
 # cumulants from the series route of moments_to_cumulants.
+
+
+def _conv(f, g, order):
+    """conv takes no route; its walk is kdivisible_conv with k = 1."""
+    return lambda route: (incidence.conv(f, g, order) if route == "series"
+                          else incidence.kdivisible_conv(1, f, g, order))
+
+
 ISOLATED = {
-    "conv": (ROUTED["incidence.conv"], ["series"], ["enumeration"]),
-    "conv, nonzero leading entries": (
-        lambda route: incidence.conv(SEQ, SEQ, 6, route=route), ["series"], ["enumeration"]),
+    "conv": (_conv(SEQ, ZERO_LED, 5), ["series"], ["walk"]),
+    "conv, nonzero leading entries": (_conv(SEQ, SEQ, 6), ["series"], ["walk"]),
     "zeta_power_conv": (lambda route: incidence.zeta_power_conv(ZERO_LED, 2, 4, route=route),
                         ["series"], ["iterated", "dilated"]),
     "cumulants_to_moments": (lambda route: transforms.cumulants_to_moments(
@@ -116,7 +122,9 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("name", sorted(ISOLATED))
 def test_series_routes_never_walk_and_enumeration_routes_never_invert(name, monkeypatch):
     call, series_routes, enumeration_routes = ISOLATED[name]
-    want = call("both")
+    want = call(series_routes[0])
+    for route in enumeration_routes:
+        assert call(route) == want
     with monkeypatch.context() as patch:
         patch.setattr(incidence, "kdivisible_pair_stats", _refuse)
         for route in series_routes:
@@ -129,7 +137,7 @@ def test_series_routes_never_walk_and_enumeration_routes_never_invert(name, monk
 
 def test_defaults_are_the_series_routes():
     defaults = {
-        incidence.conv: "series", incidence.zeta_power_conv: "series",
+        incidence.zeta_power_conv: "series",
         transforms.cumulants_to_moments: "series", transforms.moments_to_cumulants: "series",
         transforms.kdiv_power_cumulants: "zeta", ksym.boxtimes_power_moments: "iterated",
     }

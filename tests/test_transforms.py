@@ -164,7 +164,7 @@ def test_products_as_arguments_trivial_groupings():
 def test_products_as_arguments_matches_power_formula(alpha, k, n):
     full = inc.dilate(alpha.prefix(n), k)
     got = tr.products_as_arguments(full, [k] * n)
-    want = tr.kdiv_power_cumulants(alpha.prefix(n), k, n)[n]
+    want = tr.kdiv_power_cumulants(alpha.prefix(n), k, n, route="enumeration")[n]
     assert got == want
 
 
