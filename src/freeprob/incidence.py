@@ -19,7 +19,9 @@ is built once by enumeration and cached, collapsing the Catalan-sized
 sum to a sum over partition-type pairs with integer multiplicities.
 Only `kdivisible_conv`, the convolution in the lattice of k-divisible
 partitions, reads these histograms; its k = 1 case is the walk for
-`conv`.  `max_n` (or FREEPROB_MAX_N) bounds only these walks.
+`conv`.  FREEPROB_MAX_N bounds only these walks, through the
+enumeration budget of `ncpart`.  `ksym` builds every k-symmetric law
+on the series zeta power: k convolutions with zeta in NC are one in NC^k.
 
 Routes go through `errors.run_route` ("both" runs all and checks that
 they agree): `zeta_power_conv` has "series", "iterated" and "dilated".
@@ -45,7 +47,7 @@ def _sizes(blocks) -> tuple:
     return tuple(sorted((len(b) for b in blocks), reverse=True))
 
 
-def kdivisible_pair_stats(k: int, n: int, max_n: int | None = None) -> dict:
+def kdivisible_pair_stats(k: int, n: int) -> dict:
     """Histogram {(sizes(pi), sizes(Kr(pi))): count} over the k-divisible
     non-crossing partitions of [kn] (all of NC(n) when k = 1).
 
@@ -61,7 +63,7 @@ def kdivisible_pair_stats(k: int, n: int, max_n: int | None = None) -> dict:
         if hit is not None:
             return hit
         hist: dict = {}
-        for blocks in ncpart.iter_kdivisible_blocks(k, n, max_n):
+        for blocks in ncpart.iter_kdivisible_blocks(k, n):
             key = (_sizes(blocks), _sizes(kreweras(ncpart._wrap(k * n, blocks)).blocks))
             hist[key] = hist.get(key, 0) + 1
         _pair_stats[(k, n)] = hist
@@ -128,7 +130,7 @@ def conv(f: RationalSequence, g: RationalSequence, order: int | None = None) -> 
 
 
 def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | None,
-                    order: int, max_n: int | None = None) -> RationalSequence:
+                    order: int) -> RationalSequence:
     """Entry n is the sum over k-divisible pi in NC(kn) of f_pi g_{Kr(pi)},
     n = 1..order; None for f or g stands for the zeta family (all ones).
 
@@ -142,7 +144,7 @@ def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | No
     out = []
     for n in range(1, order + 1):
         total = 0
-        for (spi, skr), cnt in kdivisible_pair_stats(k, n, max_n).items():
+        for (spi, skr), cnt in kdivisible_pair_stats(k, n).items():
             if fv is not None:
                 cnt *= prod(fv[s] for s in spi)
             if gv is not None:
@@ -175,14 +177,14 @@ def undilate(a: RationalSequence, k: int) -> RationalSequence:
 
 
 def zeta_power_conv(g: RationalSequence, k: int, order: int,
-                    route: str = "series", max_n: int | None = None) -> RationalSequence:
+                    route: str = "series") -> RationalSequence:
     """g * zeta * ... * zeta (k convolutions with the all-ones family).
 
     Three routes are available and must agree: "series" solves
     A = B(z A^k) for A = 1 + (g * zeta^k)(z) with B = 1 + g(z),
     "iterated" convolves k times at order n by enumeration, "dilated"
     convolves the k-dilated sequence with zeta once at order kn by
-    enumeration and undilates.  max_n bounds only the enumeration routes.
+    enumeration and undilates.
     """
     if k < 0:
         raise ValidationError("zeta power must be >= 0")
@@ -198,24 +200,24 @@ def zeta_power_conv(g: RationalSequence, k: int, order: int,
     def iterated() -> RationalSequence:
         out = g.prefix(order)
         for _ in range(k):
-            out = kdivisible_conv(1, out, None, order, max_n)
+            out = kdivisible_conv(1, out, None, order)
         return out
 
     def dilated() -> RationalSequence:
         lifted = dilate(g.prefix(order), k)
-        return undilate(kdivisible_conv(1, lifted, None, k * order, max_n), k)
+        return undilate(kdivisible_conv(1, lifted, None, k * order), k)
 
     return run_route("zeta_power_conv", route,
                      {"series": by_series, "iterated": iterated, "dilated": dilated})
 
 
-def multichain_count_enumerated(length: int, n: int, max_n: int | None = None) -> int:
+def multichain_count_enumerated(length: int, n: int) -> int:
     """Count weakly increasing `length`-tuples in NC(n) straight from the
     order relation (dynamic programming over the poset); test oracle for
     the closed form and the zeta-power identities."""
     if length < 1:
         raise ValidationError("multichain length must be >= 1")
-    elems = ncpart.enumerate_nc(n, max_n)
+    elems = ncpart.enumerate_nc(n)
     below = [
         [i for i, p in enumerate(elems) if ncpart.leq(p, q)] for q in elems
     ]

@@ -3,7 +3,10 @@ and limit theorems, plus the symbolic stable-law monomial algebra.
 
 A k-symmetric law is determined by k together with the moment sequence
 of its k-th power: the full moments vanish off multiples of k and
-m_{kn} equals the n-th entry of the stored base.  Everything is exact;
+m_{kn} equals the n-th entry of the stored base.  Since k convolutions
+with zeta in NC are one in NC^k, the base is alpha * zeta^k for the
+determining sequence alpha_n = kappa_{kn}: either one follows from the
+other by one series solve at the base's order.  Everything is exact;
 free additive powers are computed formally for every t > 0, and the
 carried validity flag (from a Hankel test on the base) records whether
 the result is certified as an actual measure.
@@ -14,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import incidence, ncpart, transforms
-from .series import nth_root_int as _root
+from . import incidence, ncpart, series, transforms
+from .series import PowerSeries, nth_root_int as _root
 from .errors import ValidationError, run_route
 from .sequences import RationalSequence, frac_from_str, frac_to_str
 
@@ -54,13 +57,14 @@ class KSymmetricDistribution:
         return RationalSequence([self.moment(n) for n in range(1, order + 1)])
 
     def determining_sequence(self, order: int | None = None) -> RationalSequence:
-        """alpha_n = kappa_{kn}: the cumulants of the full moment sequence,
-        undilated."""
+        """alpha_n = kappa_{kn}, the base times moebius^k: A = 1 + base(z)
+        solves A = B(z A^k) with B = 1 + alpha(z)."""
         if order is None:
             order = self.base.order
-        full = self.full_moments(self.k * order)
-        cums = transforms.moments_to_cumulants(full, self.k * order)
-        return incidence.undilate(cums, self.k)
+        if order > self.base.order:
+            raise ValidationError("not enough base moments")
+        a = PowerSeries.from_sequence_with_unit(self.base, order)
+        return RationalSequence(series.solve_B_given_A(a, order, self.k).tail_sequence())
 
     def check_validity(self) -> bool:
         self.valid = transforms.hankel_check(self.base, stieltjes=True)
@@ -86,12 +90,11 @@ class KSymmetricDistribution:
 
 def from_determining_sequence(k: int, alpha: RationalSequence,
                               order: int | None = None) -> KSymmetricDistribution:
-    """Rebuild a k-symmetric law from alpha_n = kappa_{kn}."""
+    """Rebuild a k-symmetric law from alpha_n = kappa_{kn}: its base is
+    alpha * zeta^k."""
     if order is None:
         order = alpha.order
-    full_cums = incidence.dilate(alpha.prefix(order), k)
-    full_moms = transforms.cumulants_to_moments(full_cums, k * order)
-    return KSymmetricDistribution(k, incidence.undilate(full_moms, k))
+    return KSymmetricDistribution(k, incidence.zeta_power_conv(alpha, k, order))
 
 
 def haar_unitary_law(k: int, order: int) -> KSymmetricDistribution:
@@ -162,15 +165,14 @@ def clt_scaled_cumulants(d: KSymmetricDistribution, n_samples: int,
 
 def compound_poisson(k: int, rate, jump: KSymmetricDistribution,
                      order: int) -> KSymmetricDistribution:
-    """Free compound Poisson: kappa_n = rate * m_n(jump)."""
+    """Free compound Poisson: kappa_n = rate * m_n(jump), so its
+    determining sequence is alpha_n = rate * m_{kn}(jump)."""
     rate = Fraction(rate)
     if rate <= 0:
         raise ValidationError("rate must be positive")
     if jump.k != k:
         raise ValidationError(f"jump law has order {jump.k}, expected {k}")
-    full_cums = jump.full_moments(k * order).scale(rate)
-    full_moms = transforms.cumulants_to_moments(full_cums, k * order)
-    return KSymmetricDistribution(k, incidence.undilate(full_moms, k))
+    return from_determining_sequence(k, jump.base.prefix(order).scale(rate))
 
 
 def poisson_limit_gap(k: int, rate, jump: KSymmetricDistribution,
@@ -428,15 +430,12 @@ def _theta_reduced(theta: tuple) -> Fraction | None:
     return 1 / (1 + total)
 
 
-def stable_monomial_equal(a: StableMonomial, b: StableMonomial,
-                          use_theta_axiom: bool = True) -> bool:
-    if (a.scale, a.phase_pi, a.exponent, a.power_atoms) != (
+def stable_monomial_equal(a: StableMonomial, b: StableMonomial) -> bool:
+    """Equality with the magnitudes compared under the theta composition
+    axiom."""
+    return (a.scale, a.phase_pi, a.exponent, a.power_atoms) == (
         b.scale, b.phase_pi, b.exponent, b.power_atoms
-    ):
-        return False
-    if use_theta_axiom:
-        return _theta_reduced(a.theta) == _theta_reduced(b.theta)
-    return a.theta == b.theta
+    ) and _theta_reduced(a.theta) == _theta_reduced(b.theta)
 
 
 def stable_reproducing_check(k: int, t, s) -> bool:

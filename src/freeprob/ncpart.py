@@ -10,11 +10,11 @@ Conventions used throughout:
   between consecutive block elements (and the tail after the last one)
   is partitioned independently.  The order this recursion produces is
   deterministic and is part of the public contract;
-* full enumeration is capped (default n <= 16 for NC(n); k-divisible
-  and k-equal enumerations are allowed whenever their closed-form count
-  stays within Catalan(cap)); override via the max_n argument or the
-  FREEPROB_MAX_N environment variable.  Counting operations use closed
-  forms and are never capped.
+* full enumeration is capped: an enumeration is allowed whenever its
+  closed-form count stays within Catalan(cap), so the default cap 16
+  admits NC(n) for n <= 16; override via the max_n argument or the
+  FREEPROB_MAX_N environment variable (the cap must be >= 1).  Counting
+  operations use closed forms and are never capped.
 """
 
 from __future__ import annotations
@@ -31,36 +31,30 @@ DEFAULT_MAX_N = 16
 
 
 def _resolve_cap(max_n: int | None) -> int:
-    if max_n is not None:
-        return max_n
-    env = os.environ.get("FREEPROB_MAX_N")
-    if env is not None:
+    name = "max_n"
+    if max_n is None:
+        env = os.environ.get("FREEPROB_MAX_N")
+        if env is None:
+            return DEFAULT_MAX_N
+        name = "FREEPROB_MAX_N"
         try:
-            return int(env)
+            max_n = int(env)
         except ValueError as exc:
             raise ValidationError(f"FREEPROB_MAX_N={env!r} is not an integer") from exc
-    return DEFAULT_MAX_N
-
-
-def _check_cap(n: int, max_n: int | None) -> None:
-    cap = _resolve_cap(max_n)
-    if n > cap:
-        raise ResourceLimitError(
-            f"enumeration over {n} points exceeds the cap {cap}"
-            " (raise max_n or FREEPROB_MAX_N to override)"
-        )
+    if max_n < 1:
+        raise ValidationError(f"{name} must be >= 1, got {max_n}")
+    return max_n
 
 
 def _check_budget(count: int, max_n: int | None, what: str) -> None:
-    # Structured enumerations (k-divisible, k-equal) are capped by their
-    # partition count instead of the ground-set size: the budget is the
-    # size NC(cap) would have.
+    # Every enumeration is capped by its partition count: the budget is
+    # the size NC(cap) would have.  Catalan is strictly increasing on
+    # n >= 1, so for NC(n) itself this is the test n <= cap.  The message
+    # names no count: one past about 4300 digits cannot be printed.
     cap = _resolve_cap(max_n)
-    budget = catalan(cap)
-    if count > budget:
+    if count > catalan(cap):
         raise ResourceLimitError(
-            f"{what} would enumerate {count} partitions, above the budget"
-            f" Catalan({cap}) = {budget}"
+            f"{what} would enumerate more partitions than the budget Catalan({cap})"
             " (raise max_n or FREEPROB_MAX_N to override)"
         )
 
@@ -97,9 +91,6 @@ class Partition:
     def __len__(self):
         """Number of blocks."""
         return len(self.blocks)
-
-    def block_sizes(self) -> tuple:
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
 
     def block_of(self) -> list:
         """Element -> block index map (0-based list of length n+1; slot 0 unused)."""
@@ -195,7 +186,7 @@ def iter_nc_blocks(n: int, max_n: int | None = None) -> Iterator[Blocks]:
     """Stream raw canonical block tuples of NC(n) without wrapping them."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    _check_cap(n, max_n)
+    _check_budget(catalan(n), max_n, f"NC({n})")
     return _iter_spans(1, n + 1, _always, _always, _always)
 
 
@@ -278,9 +269,7 @@ def count_kequal(k: int, n: int) -> int:
 
 def count_multichains(k: int, n: int) -> int:
     """Number of weakly increasing k-tuples in NC(n); equals #NC^k(n)."""
-    if k < 1 or n < 1:
-        raise ValidationError("k and n must be >= 1")
-    return math.comb((k + 1) * n, n) // (k * n + 1)
+    return fuss_catalan_kdivisible(k, n)
 
 
 # ---------------------------------------------------------------------------

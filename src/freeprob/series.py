@@ -15,7 +15,7 @@ Every series inverse and functional-equation solve (comp_inverse,
 frac_inverse, solve_A_given_B, solve_B_given_A) runs on one Lagrange
 inversion core, _lagrange: if w = z phi(w) then [z^n] H(w) =
 (1/n) [w^(n-1)] H'(w) phi(w)^n.  Each function only picks H and
-phi = f^beta (B^k, 1/A, and u^(-1/k) for the inverses); the core takes
+phi = f^beta (B^k, A^(-k), and u^(-1/k) for the inverses); the core takes
 each power phi^n = f^(n beta) from J.C.P. Miller's recurrence, so a solve
 to order N costs O(N^3) coefficient operations.  compose serves check_pair,
 incidence.conv and the tests.
@@ -337,18 +337,23 @@ def solve_A_given_B(b: PowerSeries, k: int, order: int) -> PowerSeries:
     return PowerSeries([1] + _lagrange(b, b, Fraction(k), order))
 
 
-def solve_B_given_A(a: PowerSeries, order: int | None = None) -> PowerSeries:
-    """Unique B with constant term 1 and A(z) = B(z A(z)) to order.
+def solve_B_given_A(a: PowerSeries, order: int | None = None, k: int = 1) -> PowerSeries:
+    """Unique B with constant term 1 and A(z) = B(z A(z)^k) to order;
+    the inverse of solve_A_given_B for the same k.
 
-    This peels one zeta-convolution off at the series level: if A is
-    the generating series of f = g * zeta then B generates g.
+    This peels k zeta-convolutions off at the series level: if A is
+    the generating series of f = g * zeta^k then B generates g.  A is
+    read as a polynomial: coefficients past a.order count as zero.
     """
     if a[0] != 1:
         raise ValidationError("A must have constant term 1")
+    if k < 0:
+        raise ValidationError("k must be >= 0")
     if order is None:
         order = a.order
-    # z solves z = w / A(z) in w = z A(z), and B(w) = A(z): H = A, phi = 1/A.
-    return PowerSeries([1] + _lagrange(a, a, Fraction(-1), order))
+    # z solves z = w A(z)^(-k) in w = z A(z)^k, and B(w) = A(z):
+    # H = A, phi = A^(-k).
+    return PowerSeries([1] + _lagrange(a, a, Fraction(-k), order))
 
 
 def check_pair(a: PowerSeries, b: PowerSeries, mode: str, k: int,

@@ -212,11 +212,8 @@ def s_multiplicativity_check(mom_x: RationalSequence, mom_y: RationalSequence,
 def s_power_relation_check(mom: RationalSequence, k: int, order: int,
                            min_window: int = 4) -> bool:
     """S_{x^k}(z) = S_x(z)^k (z/(1+z))^(k-1) for a k-divisible x."""
-    for n in range(1, order + 1):
-        if n % k and mom[n] != 0:
-            raise ValidationError(f"moment {n} nonzero, variable is not {k}-divisible")
+    undil = incidence.undilate(mom.prefix(order), k)
     s_x = _as_puiseux(s_transform(mom, order))
-    undil = RationalSequence([mom[k * n] for n in range(1, order // k + 1)])
     s_xk = _as_puiseux(s_transform(undil, undil.order))
     if k == 1:
         return series.puiseux_agree(s_x, s_xk, min_window)

@@ -228,6 +228,29 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["nc", "kdivisible", "kequal"])
+@pytest.mark.parametrize("cap", ["0", "-1", "-3"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_cap_below_one_is_a_validation_error(capsys, monkeypatch, kind, cap, via_env):
+    argv = ["nc", "enumerate", "--kind", kind, "--k", "2", "--n", "2"]
+    if via_env:
+        monkeypatch.setenv("FREEPROB_MAX_N", cap)
+    else:
+        argv += ["--max-n", cap]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["kind"] == "validation" and "must be >= 1" in diag["error"]
+
+
+@pytest.mark.parametrize("kind", ["nc", "kdivisible", "kequal"])
+def test_count_past_the_int_printing_limit_is_a_resource_limit(capsys, kind):
+    # each count here has more than 4300 digits
+    code, out, err = run_cli(capsys, "nc", "enumerate", "--kind", kind, "--k", "2",
+                             "--n", "8000")
+    assert code == 3 and out == "" and json.loads(err)["kind"] == "resource-limit"
+
+
 def test_roundtrip_through_documented_schema(tmp_path, capsys):
     # emissions parse back through the same schema they are documented in
     code, out, _ = run_cli(capsys, "ksym", "semicircle", "--k", "2",
@@ -406,7 +429,7 @@ def fuzz_argv(draw):
         ["nc", "count", "--kind", draw(st.sampled_from(
             ["nc", "kdivisible", "kequal", "multichains"])), "--k", i(), "--n", i()],
         ["nc", "enumerate", "--kind", draw(st.sampled_from(["nc", "kdivisible", "kequal"])),
-         "--k", str(k), "--n", str(n)],
+         "--k", str(k), "--n", str(n), "--max-n", i()],
         ["nc", "kreweras", "--partition", draw(partitions)],
         ["conv", "zeta-power", "--in", file("seq", SEQS), "--k", i(), "--order", i()],
         ["conv", "moebius", "--order", i()],

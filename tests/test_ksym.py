@@ -65,6 +65,57 @@ def test_determining_sequence_roundtrip():
     assert tr.moments_to_cumulants(d.base.prefix(4), 4) == k_of_power
 
 
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6),
+       st.lists(small_rationals, min_size=6, max_size=6), positive_rationals)
+def test_base_order_solves_match_the_dilated_definition(k, order, values, rate):
+    # the definitions at order k*order: full moments or cumulants of the
+    # law, one moment-cumulant transform, undilate
+    n = k * order
+    seq = RationalSequence(values[:order])
+    law = KSymmetricDistribution(k, seq)
+    assert law.determining_sequence(order) == inc.undilate(
+        tr.moments_to_cumulants(law.full_moments(n), n), k)
+    assert ksym.from_determining_sequence(k, seq, order).base == inc.undilate(
+        tr.cumulants_to_moments(inc.dilate(seq, k), n), k)
+    assert ksym.compound_poisson(k, rate, law, order).base == inc.undilate(
+        tr.cumulants_to_moments(law.full_moments(n).scale(rate), n), k)
+
+
+def test_base_order_solves_never_reach_the_dilated_order(monkeypatch):
+    k, order = 3, 4
+    alpha = RationalSequence([Fraction(1), Fraction(-1, 2), Fraction(3), Fraction(2)])
+    jump = KSymmetricDistribution(k, RationalSequence([1, 2, Fraction(1, 3), 5]))
+    expected = (ksym.from_determining_sequence(k, alpha, order),
+                jump.determining_sequence(order),
+                ksym.compound_poisson(k, 2, jump, order))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("order-k*n path reached")
+
+    monkeypatch.setattr(tr, "moments_to_cumulants", boom)
+    monkeypatch.setattr(tr, "cumulants_to_moments", boom)
+    monkeypatch.setattr(inc, "undilate", boom)
+    monkeypatch.setattr(inc, "dilate", boom)
+    monkeypatch.setattr(KSymmetricDistribution, "full_moments", boom)
+    assert (ksym.from_determining_sequence(k, alpha, order),
+            jump.determining_sequence(order),
+            ksym.compound_poisson(k, 2, jump, order)) == expected
+
+
+def test_short_base_or_determining_sequence_is_rejected():
+    law = ksym.haar_unitary_law(2, 3)
+    with pytest.raises(ValidationError, match="not enough base moments"):
+        law.determining_sequence(4)
+    with pytest.raises(ValidationError):
+        ksym.compound_poisson(2, 1, law, 4)
+    with pytest.raises(ValidationError):
+        ksym.from_determining_sequence(2, RationalSequence([1, 2]), 3)
+
+
 # --- semicircle family --------------------------------------------------------
 
 

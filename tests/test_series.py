@@ -186,6 +186,19 @@ def test_functional_equation_duality(b):
     assert se.solve_B_given_A(a) == b
 
 
+@settings(max_examples=20, deadline=None)
+@given(series_st(7, unit_constant=True), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=9))
+def test_solve_B_given_A_inverts_solve_A_given_B_for_every_k(b, k, n):
+    # A = B(z A^k) both ways; B is read as a polynomial past its order
+    a = se.solve_A_given_B(b, k, n)
+    got = se.solve_B_given_A(a, n, k)
+    assert got == PowerSeries([b[i] for i in range(n + 1)])
+    assert all_fractions(got.coeffs)
+    with pytest.raises(ValidationError):
+        se.solve_B_given_A(a, n, -1)
+
+
 @settings(max_examples=12, deadline=None)
 @given(series_st(7, unit_constant=True), st.integers(min_value=2, max_value=4))
 def test_chain_of_intermediate_solutions(a, k):
