@@ -30,10 +30,10 @@ class RouteMismatchError(FreeProbError):
 
 def run_route(name: str, route: str, routes: dict):
     """Run routes[route]() for the function `name`.  "both" runs every
-    distinct route once, in dict order (keys sharing a route are aliases),
-    and returns the first result if all are equal."""
+    route once, in dict order, and returns the first result if all are
+    equal."""
     if route == "both":
-        first, *rest = [run() for run in dict.fromkeys(routes.values())]
+        first, *rest = [run() for run in routes.values()]
         if any(value != first for value in rest):
             raise RouteMismatchError(f"{name} routes disagree")
         return first

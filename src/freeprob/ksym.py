@@ -120,12 +120,10 @@ def boxtimes_positive(d: KSymmetricDistribution, nu: RationalSequence,
     if nu.order < order or d.base.order < order:
         raise ValidationError("not enough moments for requested order")
     c_nu = transforms.moments_to_cumulants(nu.prefix(order), order)
-    c = c_nu
-    for _ in range(d.k - 1):
-        c = transforms.free_mult_convolve(c, c_nu, order)
-    c_base = transforms.moments_to_cumulants(d.base.prefix(order), order)
-    c_out = transforms.free_mult_convolve(c, c_base, order)
-    return KSymmetricDistribution(d.k, transforms.cumulants_to_moments(c_out, order))
+    m = d.base.prefix(order)
+    for _ in range(d.k):
+        m = transforms.product_moments(c_nu, m, order)
+    return KSymmetricDistribution(d.k, m)
 
 
 def boxplus_power(d: KSymmetricDistribution, t, order: int) -> KSymmetricDistribution:
@@ -217,9 +215,10 @@ def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
     """Moments of the k-fold free multiplicative power of a positive law:
     m_n = sum over k-divisible pi in NC(kn) of kappa_{Kr(pi)}(mu).
 
-    route "iterated" (the default) convolves cumulants k-1 times with
-    conv, route "enumeration" walks the k-divisible partition types and
-    needs moments up to k*order; "both" checks agreement.
+    route "iterated" (the default) takes k-1 product_moments steps with
+    the cumulants of mu, route "enumeration" walks the k-divisible
+    partition types and needs moments up to k*order; "both" checks
+    agreement.
     """
     if not transforms.hankel_check(mu.prefix(min(mu.order, 2 * order)), stieltjes=True):
         raise ValidationError("mu fails the Stieltjes moment test")
@@ -232,10 +231,10 @@ def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
 
     def by_iter() -> RationalSequence:
         c1 = transforms.moments_to_cumulants(mu.prefix(order), order)
-        c = c1
+        m = mu.prefix(order)
         for _ in range(k - 1):
-            c = transforms.free_mult_convolve(c, c1, order)
-        return transforms.cumulants_to_moments(c, order)
+            m = transforms.product_moments(c1, m, order)
+        return m
 
     return run_route("boxtimes_power_moments", route,
                      {"enumeration": by_enum, "iterated": by_iter})

@@ -9,12 +9,18 @@ Conventions used throughout:
   block containing the smallest point is grown left to right, each gap
   between consecutive block elements (and the tail after the last one)
   is partitioned independently.  The order this recursion produces is
-  deterministic and is part of the public contract;
+  deterministic and is part of the public contract.  One walker,
+  `_iter_spans(lo, hi, k, exact)`, serves NC(n), NC^k(n) and NC_k(n);
 * full enumeration is capped: an enumeration is allowed whenever its
   closed-form count stays within Catalan(cap), so the default cap 16
   admits NC(n) for n <= 16; override via the max_n argument or the
-  FREEPROB_MAX_N environment variable (the cap must be >= 1).  Counting
-  operations use closed forms and are never capped.
+  FREEPROB_MAX_N environment variable (the cap must be >= 1).  Such a
+  count is at least Catalan(n) (bar NC_1(n), one partition), so n > cap
+  is refused before any count is computed; a walk too deep for Python's
+  recursion limit is refused too (CLI exit 3).  Counting operations use
+  closed forms and are never capped;
+* `join` goes through the Kreweras complement Kr, which reverses the
+  order of NC(n); Kr(Kr(p)) is p rotated by x -> x - 1.
 """
 
 from __future__ import annotations
@@ -46,13 +52,13 @@ def _resolve_cap(max_n: int | None) -> int:
     return max_n
 
 
-def _check_budget(count: int, max_n: int | None, what: str) -> None:
-    # Every enumeration is capped by its partition count: the budget is
-    # the size NC(cap) would have.  Catalan is strictly increasing on
-    # n >= 1, so for NC(n) itself this is the test n <= cap.  The message
-    # names no count: one past about 4300 digits cannot be printed.
+def _check_budget(n: int, count, max_n: int | None, what: str) -> None:
+    # The budget is the size NC(cap) would have.  Catalan is strictly
+    # increasing on n >= 1 and count() >= Catalan(n), so n > cap is over
+    # budget before a count of up to millions of digits is computed.  The
+    # message names no count: one past about 4300 digits cannot be printed.
     cap = _resolve_cap(max_n)
-    if count > catalan(cap):
+    if n > cap or count() > catalan(cap):
         raise ResourceLimitError(
             f"{what} would enumerate more partitions than the budget Catalan({cap})"
             " (raise max_n or FREEPROB_MAX_N to override)"
@@ -113,33 +119,20 @@ class NCPartition(Partition):
 
 
 def _blocks_noncrossing(n: int, blocks: Blocks) -> bool:
-    # One left-to-right scan with a stack of open blocks.  A label that
-    # reappears while not on top of the stack witnesses a crossing.
-    owner = [0] * (n + 1)
-    last = [0] * len(blocks)
-    for i, b in enumerate(blocks):
-        for x in b:
-            owner[x] = i
-        last[i] = b[-1]
+    # One left-to-right scan with a stack of the open blocks: a point
+    # whose block is not on top must open its block, else the block on
+    # top separates two of its points and crosses it.
+    owner = {x: i for i, b in enumerate(blocks) for x in b}
     stack = []
-    open_set = set()
-    closed = set()
     for x in range(1, n + 1):
         lab = owner[x]
-        if stack and stack[-1] == lab:
-            if x == last[lab]:
-                stack.pop()
-                open_set.discard(lab)
-                closed.add(lab)
-        elif lab in open_set or lab in closed:
-            return False
-        else:
+        b = blocks[lab]
+        if not stack or stack[-1] != lab:
+            if x != b[0]:
+                return False
             stack.append(lab)
-            open_set.add(lab)
-            if x == last[lab]:
-                stack.pop()
-                open_set.discard(lab)
-                closed.add(lab)
+        if x == b[-1]:
+            stack.pop()
     return True
 
 
@@ -152,42 +145,43 @@ def is_noncrossing(p: Partition) -> bool:
 # enumeration
 
 
-def _iter_spans(lo: int, hi: int, close_ok, gap_ok, may_extend) -> Iterator[Blocks]:
-    """Non-crossing partitions of the range lo..hi-1 as raw block tuples.
-
-    close_ok(r): may the block of the first point be closed at size r;
-    gap_ok(g): may a gap of g points sit between consecutive block
-    elements (the same predicate constrains the tail implicitly);
-    may_extend(r): may a block of current size r still grow.
-    """
+def _iter_spans(lo: int, hi: int, k: int, exact: bool) -> Iterator[Blocks]:
+    """Non-crossing partitions of lo..hi-1 (k divides hi - lo) as raw block
+    tuples, every block size divisible by k, and exactly k if exact.  The
+    block of lo steps by k, so each gap holds whole blocks, and closes at
+    a size divisible by k: exact blocks stop growing at k."""
     if lo >= hi:
         yield ()
         return
 
     def walk(block: tuple, gaps: Blocks, nxt: int) -> Iterator[Blocks]:
-        if close_ok(len(block)) and gap_ok(hi - nxt):
-            for tail in _iter_spans(nxt, hi, close_ok, gap_ok, may_extend):
+        if len(block) % k == 0:
+            for tail in _iter_spans(nxt, hi, k, exact):
                 yield (block,) + gaps + tail
-        if may_extend(len(block)):
-            for j in range(nxt, hi):
-                if not gap_ok(j - nxt):
-                    continue
-                for mid in _iter_spans(nxt, j, close_ok, gap_ok, may_extend):
+        if not exact or len(block) < k:
+            for j in range(nxt, hi, k):
+                for mid in _iter_spans(nxt, j, k, exact):
                     yield from walk(block + (j,), gaps + mid, j + 1)
 
     yield from walk((lo,), (), lo + 1)
 
 
-def _always(_r: int) -> bool:
-    return True
+def _walk(what: str, points: int, k: int, exact: bool) -> Iterator[Blocks]:
+    # a generator nests per point of a block and per closed block
+    try:
+        yield from _iter_spans(1, points + 1, k, exact)
+    except RecursionError:
+        raise ResourceLimitError(
+            f"{what} nests deeper than the recursion limit of the enumeration walk"
+        ) from None
 
 
 def iter_nc_blocks(n: int, max_n: int | None = None) -> Iterator[Blocks]:
     """Stream raw canonical block tuples of NC(n) without wrapping them."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    _check_budget(catalan(n), max_n, f"NC({n})")
-    return _iter_spans(1, n + 1, _always, _always, _always)
+    _check_budget(n, lambda: catalan(n), max_n, f"NC({n})")
+    return _walk(f"NC({n})", n, 1, False)
 
 
 def iter_nc(n: int, max_n: int | None = None) -> Iterator[NCPartition]:
@@ -213,10 +207,8 @@ def enumerate_nc(n: int, max_n: int | None = None) -> list:
 def iter_kdivisible_blocks(k: int, n: int, max_n: int | None = None) -> Iterator[Blocks]:
     if k < 1 or n < 1:
         raise ValidationError("k and n must be >= 1")
-    _check_budget(fuss_catalan_kdivisible(k, n), max_n, f"NC^{k}({n})")
-    close_ok = lambda r: r % k == 0
-    gap_ok = lambda g: g % k == 0
-    return _iter_spans(1, k * n + 1, close_ok, gap_ok, _always)
+    _check_budget(n, lambda: fuss_catalan_kdivisible(k, n), max_n, f"NC^{k}({n})")
+    return _walk(f"NC^{k}({n})", k * n, k, False)
 
 
 def iter_kdivisible(k: int, n: int, max_n: int | None = None) -> Iterator[NCPartition]:
@@ -232,11 +224,9 @@ def enumerate_kdivisible(k: int, n: int, max_n: int | None = None) -> list:
 def iter_kequal(k: int, n: int, max_n: int | None = None) -> Iterator[NCPartition]:
     if k < 1 or n < 1:
         raise ValidationError("k and n must be >= 1")
-    _check_budget(count_kequal(k, n), max_n, f"NC_{k}({n})")
-    close_ok = lambda r: r == k
-    gap_ok = lambda g: g % k == 0
-    may_extend = lambda r: r < k
-    for blocks in _iter_spans(1, k * n + 1, close_ok, gap_ok, may_extend):
+    # #NC_k(n) = #NC^{k-1}(n) >= Catalan(n) for k >= 2, and #NC_1(n) = 1
+    _check_budget(n if k > 1 else 1, lambda: count_kequal(k, n), max_n, f"NC_{k}({n})")
+    for blocks in _walk(f"NC_{k}({n})", k * n, k, True):
         yield _wrap(k * n, blocks)
 
 
@@ -282,21 +272,18 @@ def kreweras(p: Partition) -> NCPartition:
     Interleave 1,1',2,2',...,n,n'; the complement is the coarsest
     partition of the primed points whose union with p stays
     non-crossing.  Computed in O(n) through the cycle correspondence:
-    traverse each block of p as an increasing cycle, compose the
-    inverse of that permutation with the full cycle 1->2->...->n->1,
-    and read the complement's blocks off the orbits.  The brute-force
-    interleaving definition is used as the test oracle.
+    its blocks are the orbits of x -> pred(x mod n + 1), pred the cyclic
+    predecessor within p's block; each orbit increases from its least
+    point, met first by the scan, so the blocks come out canonical.  The
+    brute-force interleaving definition is used as the test oracle.
     """
     if not is_noncrossing(p):
         raise ValidationError("Kreweras complement needs a non-crossing partition")
     n = p.n
-    succ = list(range(n + 1))  # within-block cyclic successor
+    pred = [0] * (n + 1)
     for b in p.blocks:
         for i, x in enumerate(b):
-            succ[x] = b[(i + 1) % len(b)]
-    pred = [0] * (n + 1)
-    for x in range(1, n + 1):
-        pred[succ[x]] = x
+            pred[x] = b[i - 1]
     seen = [False] * (n + 1)
     blocks = []
     for start in range(1, n + 1):
@@ -308,8 +295,7 @@ def kreweras(p: Partition) -> NCPartition:
             seen[x] = True
             cyc.append(x)
             x = pred[x % n + 1]
-        blocks.append(tuple(sorted(cyc)))
-    blocks.sort(key=lambda b: b[0])
+        blocks.append(tuple(cyc))
     return _wrap(n, tuple(blocks))
 
 
@@ -328,57 +314,19 @@ def leq(p: Partition, q: Partition) -> bool:
 def join(p: Partition, q: Partition) -> NCPartition:
     """Least upper bound of two non-crossing partitions in NC(n).
 
-    Take the partition-lattice join (transitive closure of the union),
-    then merge crossing blocks until none remain.
+    Kr reverses the order, so Kr(p v q) is the meet Kr(p) ^ Kr(q), whose
+    blocks intersect one block of each; Kr(Kr(s)) is s rotated by
+    x -> x - 1, so p v q is Kr of the meet rotated by x -> x mod n + 1.
     """
     if p.n != q.n:
         raise ValidationError("join needs a common ground set")
     n = p.n
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for part in (p, q):
-        for b in part.blocks:
-            for x in b[1:]:
-                union(b[0], x)
-
-    groups: dict = {}
+    a, b = kreweras(p).block_of(), kreweras(q).block_of()
+    meet: dict = {}
     for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    blocks = [tuple(b) for b in groups.values()]
-
-    def crossing(b1, b2):
-        merged = sorted([(x, 0) for x in b1] + [(x, 1) for x in b2])
-        pattern = [tag for _, tag in merged]
-        # blocks cross iff the tags switch at least three times: a<b<c<d
-        # with the pattern 0101 or 1010 somewhere
-        switches = sum(1 for a, b in zip(pattern, pattern[1:]) if a != b)
-        return switches >= 3
-
-    merged_any = True
-    while merged_any:
-        merged_any = False
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if crossing(blocks[i], blocks[j]):
-                    blocks[i] = tuple(sorted(blocks[i] + blocks[j]))
-                    del blocks[j]
-                    merged_any = True
-                    break
-            if merged_any:
-                break
-    blocks.sort(key=lambda b: b[0])
-    return _wrap(n, tuple(blocks))
+        meet.setdefault((a[x], b[x]), []).append(x)
+    kr = kreweras(_wrap(n, tuple(tuple(m) for m in meet.values())))
+    return _wrap(n, tuple(sorted(tuple(sorted(x % n + 1 for x in m)) for m in kr.blocks)))
 
 
 def zero_partition(n: int) -> NCPartition:

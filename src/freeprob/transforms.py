@@ -5,7 +5,7 @@ Every major identity here is computable along two independent routes
 (enumeration over non-crossing partitions vs. formal series equations).
 A `route` argument names one route and goes through `errors.run_route`,
 where "both" runs every route and raises RouteMismatchError unless all
-agree: m2c/c2m have "series" and "enumeration" (alias "moebius"),
+agree: m2c/c2m have "series" and "enumeration",
 `kdiv_power_cumulants` has "enumeration", "two-stage" and "zeta".
 """
 
@@ -43,7 +43,7 @@ def cumulants_to_moments(cum: RationalSequence, order: int | None = None,
         return incidence.kdivisible_conv(1, cum.prefix(order), None, order)
 
     return run_route("cumulants_to_moments", route,
-                     {"series": by_series, "enumeration": by_enum, "moebius": by_enum})
+                     {"series": by_series, "enumeration": by_enum})
 
 
 def moments_to_cumulants(mom: RationalSequence, order: int | None = None,
@@ -64,7 +64,7 @@ def moments_to_cumulants(mom: RationalSequence, order: int | None = None,
                                          incidence.moebius_family(order), order)
 
     return run_route("moments_to_cumulants", route,
-                     {"series": by_series, "enumeration": by_moebius, "moebius": by_moebius})
+                     {"series": by_series, "enumeration": by_moebius})
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +95,19 @@ def product_moments(cum_a: RationalSequence, mom_b: RationalSequence,
 
 
 def products_as_arguments(cum: RationalSequence, grouping) -> Fraction:
-    """Joint cumulant of consecutive products, as a sum over partitions
-    joining the grouping's interval partition up to the full block."""
+    """Joint cumulant of consecutive products, as a sum over the p in
+    NC(n) with p v sigma = 1_n, sigma the grouping's interval partition.
+    Kr reverses the order, so that is Kr(p) ^ Kr(sigma) = 0_n."""
     sizes = list(grouping)
     n = sum(sizes)
     if any(s < 1 for s in sizes) or n < 1:
         raise ValidationError(f"invalid grouping {grouping!r}")
     if cum.order < n:
         raise ValidationError("cumulant sequence too short for grouping")
-    anchor = ncpart.interval_partition(sizes)
-    full = ncpart.one_partition(n)
+    owner = ncpart.kreweras(ncpart.interval_partition(sizes)).block_of()
     total = Fraction(0)
     for p in ncpart.iter_nc(n):
-        if ncpart.join(p, anchor) == full:
+        if all(len({owner[x] for x in b}) == len(b) for b in ncpart.kreweras(p).blocks):
             total += incidence.extend(cum, p)
     return total
 

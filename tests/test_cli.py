@@ -251,6 +251,27 @@ def test_count_past_the_int_printing_limit_is_a_resource_limit(capsys, kind):
     assert code == 3 and out == "" and json.loads(err)["kind"] == "resource-limit"
 
 
+@pytest.mark.parametrize("kind,k,n", [("kequal", "1", "1000"), ("kdivisible", "1000", "1"),
+                                     ("kequal", "1000", "1")])
+def test_enumeration_too_deep_to_walk_is_a_resource_limit(capsys, kind, k, n):
+    # one partition each, under the budget, but the walk passes the
+    # recursion limit
+    code, out, err = run_cli(capsys, "nc", "enumerate", "--kind", kind, "--k", k, "--n", n)
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["kind"] == "resource-limit" and "recursion limit" in diag["error"]
+
+
+def test_enumeration_past_the_cap_is_refused_from_n(capsys):
+    # Catalan(10**6) has about 600000 digits; the budget never computes it
+    code, out, err = run_cli(capsys, "nc", "enumerate", "--n", "1000000")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "NC(1000000) would enumerate more partitions than the budget Catalan(16)"
+                 " (raise max_n or FREEPROB_MAX_N to override)",
+        "kind": "resource-limit"}
+
+
 def test_roundtrip_through_documented_schema(tmp_path, capsys):
     # emissions parse back through the same schema they are documented in
     code, out, _ = run_cli(capsys, "ksym", "semicircle", "--k", "2",

@@ -161,6 +161,31 @@ def test_boxtimes_haar_gives_multiplicative_power():
         assert out.base == ksym.boxtimes_power_moments(mu, k, 4, route="both")
 
 
+def _boxtimes_on_cumulants(base, nu, k, order):
+    # the cumulant-side loop: kappa(nu)^{*k} * kappa(base), back to moments
+    c_nu = tr.moments_to_cumulants(nu.prefix(order), order)
+    c = tr.moments_to_cumulants(base.prefix(order), order)
+    for _ in range(k):
+        c = tr.free_mult_convolve(c, c_nu, order)
+    return tr.cumulants_to_moments(c, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=7),
+       st.lists(st.tuples(positive_rationals, st.integers(min_value=1, max_value=5)),
+                min_size=1, max_size=3),
+       st.lists(small_rationals, min_size=7, max_size=7))
+def test_boxtimes_moment_loops_match_the_cumulant_loop(k, order, atoms, base_values):
+    total = sum(w for _x, w in atoms)
+    nu = tr.atomic_moments([(x, Fraction(w, total)) for x, w in atoms], order)
+    base = RationalSequence(base_values[:order])
+    d = KSymmetricDistribution(k, base)
+    assert ksym.boxtimes_positive(d, nu, order).base == _boxtimes_on_cumulants(
+        base, nu, k, order)
+    assert ksym.boxtimes_power_moments(nu, k, order) == _boxtimes_on_cumulants(
+        nu, nu, k - 1, order)
+
+
 def test_boxtimes_requires_positive_law():
     d = ksym.haar_unitary_law(2, 4)
     with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeprob import incidence, transforms
 from freeprob import ncpart as nc
 from freeprob.errors import ResourceLimitError, ValidationError
+from freeprob.sequences import RationalSequence
 
 
 def catalan_recurrence(n):
@@ -71,6 +74,77 @@ def test_cap_env_override(monkeypatch):
     with pytest.raises(ResourceLimitError):
         nc.enumerate_nc(4)
     assert len(nc.enumerate_nc(3)) == 5
+
+
+def test_budget_decides_from_n_before_any_count(monkeypatch):
+    # NC(n), NC^k(n) and NC_k(n) with k >= 2 hold at least Catalan(n)
+    # partitions, so n past the cap is refused without its count
+    def below_cap(fn):
+        def count(*args):
+            assert args[-1] <= 16, f"{fn.__name__}{args} computed past the cap"
+            return fn(*args)
+        return count
+
+    for name in ("catalan", "fuss_catalan_kdivisible", "count_kequal"):
+        monkeypatch.setattr(nc, name, below_cap(getattr(nc, name)))
+    for call in (lambda: nc.enumerate_nc(10**6), lambda: nc.enumerate_kdivisible(1, 4 * 10**5),
+                 lambda: nc.enumerate_kdivisible(3, 17), lambda: nc.enumerate_kequal(2, 17)):
+        with pytest.raises(ResourceLimitError, match=r"budget Catalan\(16\) \(raise max_n"):
+            call()
+
+
+def test_kequal_with_k_one_is_one_partition_past_the_cap():
+    assert nc.enumerate_kequal(1, 40) == [nc.zero_partition(40)]
+
+
+@pytest.mark.parametrize("kind,k,n", [("kequal", 1, 1000), ("kdivisible", 1000, 1),
+                                     ("kequal", 1000, 1)])
+def test_walk_deeper_than_the_recursion_limit_is_a_resource_limit(kind, k, n):
+    # each count is 1, far under the budget; the walk nests a generator
+    # per point of the block
+    with pytest.raises(ResourceLimitError, match="recursion limit"):
+        getattr(nc, f"enumerate_{kind}")(k, n)
+
+
+def _spans_by_predicates(lo, hi, close_ok, gap_ok, may_extend):
+    # the same recursion driven by one predicate per rule: the reference
+    # for the enumeration order
+    if lo >= hi:
+        yield ()
+        return
+
+    def walk(block, gaps, nxt):
+        if close_ok(len(block)) and gap_ok(hi - nxt):
+            for tail in _spans_by_predicates(nxt, hi, close_ok, gap_ok, may_extend):
+                yield (block,) + gaps + tail
+        if may_extend(len(block)):
+            for j in range(nxt, hi):
+                if not gap_ok(j - nxt):
+                    continue
+                for mid in _spans_by_predicates(nxt, j, close_ok, gap_ok, may_extend):
+                    yield from walk(block + (j,), gaps + mid, j + 1)
+
+    yield from walk((lo,), (), lo + 1)
+
+
+def _same_stream(got, want):
+    return all(a == b for a, b in itertools.zip_longest(got, want))
+
+
+def test_span_walker_keeps_the_predicate_order():
+    always = lambda _r: True
+    for n in range(1, 11):
+        assert _same_stream((p.blocks for p in nc.iter_nc(n)),
+                            _spans_by_predicates(1, n + 1, always, always, always))
+    for k in range(1, 5):
+        divides = lambda r, k=k: r % k == 0
+        for n in range(1, 12 // k + 1):
+            assert _same_stream(nc.iter_kdivisible_blocks(k, n),
+                                _spans_by_predicates(1, k * n + 1, divides, divides, always))
+            assert _same_stream(
+                (p.blocks for p in nc.iter_kequal(k, n)),
+                _spans_by_predicates(1, k * n + 1, lambda r, k=k: r == k, divides,
+                                     lambda r, k=k: r < k))
 
 
 @pytest.mark.parametrize("k,n", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
@@ -157,6 +231,27 @@ def test_kreweras_is_the_coarsest_interleaving_complement(n):
         assert all(nc.leq(c, kr) for c in candidates)
 
 
+def _set_partitions(n):
+    if n == 0:
+        yield []
+        return
+    for rest in _set_partitions(n - 1):
+        for i in range(len(rest)):
+            yield rest[:i] + [rest[i] + [n]] + rest[i + 1:]
+        yield rest + [[n]]
+
+
+def test_stack_scan_matches_the_quadruple_definition():
+    for n in range(1, 9):
+        for blocks in _set_partitions(n):
+            p = nc.Partition(n, blocks)
+            owner = p.block_of()
+            crossing = any(
+                owner[a] == owner[c] != owner[b] == owner[d]
+                for a, b, c, d in itertools.combinations(range(1, n + 1), 4))
+            assert nc._blocks_noncrossing(n, p.blocks) is not crossing, blocks
+
+
 def test_kreweras_examples():
     assert nc.kreweras(nc.zero_partition(6)) == nc.one_partition(6)
     assert nc.kreweras(nc.one_partition(6)) == nc.zero_partition(6)
@@ -226,6 +321,98 @@ def test_join_is_monotone():
                 continue
             for q in elems[::4]:
                 assert nc.leq(nc.join(p, q), nc.join(p2, q))
+
+
+def _join_by_merging(p, q):
+    # the partition-lattice join (union-find over both block sets), then
+    # crossing blocks merged until none remain: the oracle of `join`
+    n = p.n
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for part in (p, q):
+        for b in part.blocks:
+            for x in b[1:]:
+                parent[find(x)] = find(b[0])
+    groups = {}
+    for x in range(1, n + 1):
+        groups.setdefault(find(x), []).append(x)
+    blocks = list(groups.values())
+
+    def crossing(b1, b2):
+        tags = [tag for _x, tag in sorted([(x, 0) for x in b1] + [(x, 1) for x in b2])]
+        return sum(1 for a, b in zip(tags, tags[1:]) if a != b) >= 3
+
+    merged = True
+    while merged:
+        merged = False
+        for b1, b2 in itertools.combinations(blocks, 2):
+            if crossing(b1, b2):
+                blocks.remove(b1)
+                blocks.remove(b2)
+                blocks.append(b1 + b2)
+                merged = True
+                break
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def test_join_through_kreweras_matches_the_merging_join():
+    # join reads the meet of Kr(p) and Kr(q), the same for (q, p), so
+    # each unordered pair is checked once
+    for n in range(1, 8):
+        elems = nc.enumerate_nc(n)
+        for i, p in enumerate(elems):
+            for q in elems[i:]:
+                assert nc.join(p, q).blocks == _join_by_merging(p, q)
+
+
+def _products_by_join_walk(cum, sizes):
+    n = sum(sizes)
+    anchor, full = nc.interval_partition(sizes), nc.one_partition(n).blocks
+    return sum((incidence.extend(cum, p) for p in nc.iter_nc(n)
+                if _join_by_merging(p, anchor) == full), Fraction(0))
+
+
+def _groupings(sizes):
+    # the longest prefix of the drawn sizes that covers at most 9 points
+    out = []
+    for s in sizes:
+        if sum(out) + s > 9:
+            break
+        out.append(s)
+    return out
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=9).map(_groupings),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=9, max_size=9))
+def test_products_as_arguments_matches_the_join_walk(sizes, values):
+    cum = RationalSequence(values)
+    assert transforms.products_as_arguments(cum, sizes) == _products_by_join_walk(cum, sizes)
+
+
+def test_products_as_arguments_never_calls_join(monkeypatch):
+    cum = RationalSequence([1, -2, 3, Fraction(1, 2), 5, -1, 2, Fraction(1, 3)])
+    want = _products_by_join_walk(cum, [3, 2, 3])
+
+    def refuse(*args):
+        raise AssertionError("join called")
+
+    monkeypatch.setattr(nc, "join", refuse)
+    assert transforms.products_as_arguments(cum, [3, 2, 3]) == want
+
+
+def test_join_rejects_crossing_input():
+    crossing = nc.Partition(4, [(1, 3), (2, 4)])
+    with pytest.raises(ValidationError, match="non-crossing"):
+        nc.join(crossing, nc.zero_partition(4))
+    with pytest.raises(ValidationError, match="common ground set"):
+        nc.join(nc.zero_partition(3), nc.zero_partition(4))
 
 
 def test_join_example():
