@@ -50,7 +50,7 @@ def _load_variables(path: str) -> list:
     entries = _read_json(path)
     if not isinstance(entries, list) or not all(
             isinstance(v, dict) and isinstance(v.get("label"), str) and "moments" in v
-            and isinstance(v.get("period"), (int, type(None))) for v in entries):
+            and type(v.get("period")) in (int, type(None)) for v in entries):
         raise ValidationError(
             '--vars must be a JSON array of {"label": str, "moments": [...], '
             '"period": int|null} objects')

@@ -10,8 +10,9 @@ Two independent computations exist for every convolution.  The series
 one, the default, uses the Nica-Speicher Fourier transform of
 multiplicative families, F(f)(z) = f^{<-1>}(z)/z with F(f*g) = F(f) F(g),
 where f(z) = sum f_n z^n: `conv` solves it by Lagrange inversion even
-when a leading entry is zero, and a zeta power g * zeta^k is the A with
-A = B(z A^k), B = 1 + g(z).  Both cost polynomial time.
+when a leading entry is zero, and a zeta power g * zeta^k, for any
+integer k, is the A with A = B(z A^k), B = 1 + g(z).  Both cost
+polynomial time.
 
 The walk is the test oracle.  It never walks NC(n) twice: a per-n
 histogram keyed by the pair (block sizes of pi, block sizes of Kr(pi))
@@ -24,7 +25,8 @@ enumeration budget of `ncpart`.  `ksym` builds every k-symmetric law
 on the series zeta power: k convolutions with zeta in NC are one in NC^k.
 
 Routes go through `errors.run_route` ("both" runs all and checks that
-they agree): `zeta_power_conv` has "series", "iterated" and "dilated".
+they agree): `zeta_power_conv` has "series", "iterated" and "dilated",
+and a negative power walks with the Moebius family in place of zeta.
 """
 
 from __future__ import annotations
@@ -178,59 +180,33 @@ def undilate(a: RationalSequence, k: int) -> RationalSequence:
 
 def zeta_power_conv(g: RationalSequence, k: int, order: int,
                     route: str = "series") -> RationalSequence:
-    """g * zeta * ... * zeta (k convolutions with the all-ones family).
+    """g * zeta^k for any integer k; zeta^(-1) is the Moebius family.
 
     Three routes are available and must agree: "series" solves
     A = B(z A^k) for A = 1 + (g * zeta^k)(z) with B = 1 + g(z),
-    "iterated" convolves k times at order n by enumeration, "dilated"
-    convolves the k-dilated sequence with zeta once at order kn by
-    enumeration and undilates.
+    "iterated" convolves |k| times at order n by enumeration, "dilated"
+    convolves the |k|-dilated sequence once at order |k|n by enumeration
+    and undilates.  Both walks convolve with zeta, or with the Moebius
+    family when k < 0: dilate(g * zeta^k) = dilate(g) * zeta.
     """
-    if k < 0:
-        raise ValidationError("zeta power must be >= 0")
     if g.order < order:
         raise ValidationError("operand order too small")
     if k == 0:
         return g.prefix(order)
+    steps = abs(k)
 
     def by_series() -> RationalSequence:
-        b = PowerSeries.from_sequence_with_unit(g, order)
-        return RationalSequence(series.solve_A_given_B(b, k, order).tail_sequence())
+        b = PowerSeries([1, *g.values[:order]])
+        return RationalSequence(series.solve_A_given_B(b, k, order).coeffs[1:])
 
-    def iterated() -> RationalSequence:
-        out = g.prefix(order)
-        for _ in range(k):
-            out = kdivisible_conv(1, out, None, order)
-        return out
+    def walk(seq: RationalSequence, times: int, n: int) -> RationalSequence:
+        step = None if k > 0 else moebius_family(n)
+        for _ in range(times):
+            seq = kdivisible_conv(1, seq, step, n)
+        return seq
 
-    def dilated() -> RationalSequence:
-        lifted = dilate(g.prefix(order), k)
-        return undilate(kdivisible_conv(1, lifted, None, k * order), k)
-
-    return run_route("zeta_power_conv", route,
-                     {"series": by_series, "iterated": iterated, "dilated": dilated})
-
-
-def multichain_count_enumerated(length: int, n: int) -> int:
-    """Count weakly increasing `length`-tuples in NC(n) straight from the
-    order relation (dynamic programming over the poset); test oracle for
-    the closed form and the zeta-power identities."""
-    if length < 1:
-        raise ValidationError("multichain length must be >= 1")
-    elems = ncpart.enumerate_nc(n)
-    below = [
-        [i for i, p in enumerate(elems) if ncpart.leq(p, q)] for q in elems
-    ]
-    ways = [1] * len(elems)
-    for _ in range(length - 1):
-        ways = [sum(ways[i] for i in below[j]) for j in range(len(elems))]
-    return sum(ways)
-
-
-def catalan_by_recurrence(n: int) -> int:
-    """Independent Catalan oracle: C_0 = 1, C_n = sum C_i C_{n-1-i}."""
-    cs = [1]
-    for m in range(1, n + 1):
-        cs.append(sum(cs[i] * cs[m - 1 - i] for i in range(m)))
-    return cs[n]
-
+    return run_route("zeta_power_conv", route, {
+        "series": by_series,
+        "iterated": lambda: walk(g.prefix(order), steps, order),
+        "dilated": lambda: undilate(walk(dilate(g.prefix(order), steps), 1, steps * order), steps),
+    })

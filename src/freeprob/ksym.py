@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import incidence, ncpart, series, transforms
-from .series import PowerSeries, nth_root_int as _root
+from . import incidence, ncpart, transforms
+from .series import nth_root_int as _root
 from .errors import ValidationError, run_route
 from .sequences import RationalSequence, frac_from_str, frac_to_str
 
@@ -63,8 +63,7 @@ class KSymmetricDistribution:
             order = self.base.order
         if order > self.base.order:
             raise ValidationError("not enough base moments")
-        a = PowerSeries.from_sequence_with_unit(self.base, order)
-        return RationalSequence(series.solve_B_given_A(a, order, self.k).tail_sequence())
+        return incidence.zeta_power_conv(self.base, -self.k, order)
 
     def check_validity(self) -> bool:
         self.valid = transforms.hankel_check(self.base, stieltjes=True)

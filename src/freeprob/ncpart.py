@@ -185,8 +185,8 @@ def iter_nc_blocks(n: int, max_n: int | None = None) -> Iterator[Blocks]:
 
 
 def iter_nc(n: int, max_n: int | None = None) -> Iterator[NCPartition]:
-    for blocks in iter_nc_blocks(n, max_n):
-        yield _wrap(n, blocks)
+    # a generator expression evaluates its source, and so validates, at once
+    return (_wrap(n, blocks) for blocks in iter_nc_blocks(n, max_n))
 
 
 def _wrap(n: int, blocks: Blocks) -> NCPartition:
@@ -212,8 +212,7 @@ def iter_kdivisible_blocks(k: int, n: int, max_n: int | None = None) -> Iterator
 
 
 def iter_kdivisible(k: int, n: int, max_n: int | None = None) -> Iterator[NCPartition]:
-    for blocks in iter_kdivisible_blocks(k, n, max_n):
-        yield _wrap(k * n, blocks)
+    return (_wrap(k * n, blocks) for blocks in iter_kdivisible_blocks(k, n, max_n))
 
 
 def enumerate_kdivisible(k: int, n: int, max_n: int | None = None) -> list:
@@ -226,8 +225,7 @@ def iter_kequal(k: int, n: int, max_n: int | None = None) -> Iterator[NCPartitio
         raise ValidationError("k and n must be >= 1")
     # #NC_k(n) = #NC^{k-1}(n) >= Catalan(n) for k >= 2, and #NC_1(n) = 1
     _check_budget(n if k > 1 else 1, lambda: count_kequal(k, n), max_n, f"NC_{k}({n})")
-    for blocks in _walk(f"NC_{k}({n})", k * n, k, True):
-        yield _wrap(k * n, blocks)
+    return (_wrap(k * n, blocks) for blocks in _walk(f"NC_{k}({n})", k * n, k, True))
 
 
 def enumerate_kequal(k: int, n: int, max_n: int | None = None) -> list:

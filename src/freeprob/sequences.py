@@ -29,7 +29,8 @@ def frac_from_str(s: str) -> Fraction:
 def _entry_from_json(s) -> Fraction:
     if isinstance(s, str):
         return frac_from_str(s)
-    if isinstance(s, int) or isinstance(s, float) and math.isfinite(s):
+    # JSON true and false arrive as bool, a subclass of int
+    if type(s) is int or isinstance(s, float) and math.isfinite(s):
         return Fraction(s)
     raise ValidationError(f"not a rational literal: {s!r}")
 

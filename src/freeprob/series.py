@@ -6,19 +6,19 @@ far their result stays valid.  A PuiseuxSeries is a truncated Laurent
 series in w = z^(1/ram) whose exponents may be negative; it carries the
 window [lo, hi] of w-exponents on which its coefficients are exact.
 
-Every product of two series goes through mul, and every power through
-power, which is built on it.  The Puiseux operations (puiseux_mul,
+Every product of two series goes through mul.  Every power comes from
+one J.C.P. Miller recurrence, _miller: power takes any integer exponent
+and is not built on mul.  The Puiseux operations (puiseux_mul,
 puiseux_pow, from_power_series) only track the ramification ram and the
 window lo..hi and hand the coefficients to those kernels.
 
 Every series inverse and functional-equation solve (comp_inverse,
-frac_inverse, solve_A_given_B, solve_B_given_A) runs on one Lagrange
-inversion core, _lagrange: if w = z phi(w) then [z^n] H(w) =
-(1/n) [w^(n-1)] H'(w) phi(w)^n.  Each function only picks H and
-phi = f^beta (B^k, A^(-k), and u^(-1/k) for the inverses); the core takes
-each power phi^n = f^(n beta) from J.C.P. Miller's recurrence, so a solve
-to order N costs O(N^3) coefficient operations.  compose serves check_pair,
-incidence.conv and the tests.
+frac_inverse, solve_A_given_B) runs on one Lagrange inversion core,
+_lagrange: if w = z phi(w) then [z^n] H(w) = (1/n) [w^(n-1)] H'(w)
+phi(w)^n.  Each function only picks H and phi = f^beta (B^k for any
+integer k, and u^(-1/k) for the inverses); the core takes each power
+phi^n = f^(n beta) from _miller, so a solve to order N costs O(N^3)
+coefficient operations.  compose serves incidence.conv and the tests.
 
 Truncation order is always explicit.  No operation guesses precision
 and no floating point appears anywhere.
@@ -57,11 +57,6 @@ class PowerSeries:
             c[1] = Fraction(1)
         return cls(c)
 
-    @classmethod
-    def from_sequence_with_unit(cls, seq, order: int) -> "PowerSeries":
-        """1 + a_1 z + ... + a_order z^order from a 1-based sequence."""
-        return cls([Fraction(1)] + [Fraction(seq[n]) for n in range(1, order + 1)])
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -85,10 +80,6 @@ class PowerSeries:
             raise ValidationError("cannot extend a truncated series")
         return PowerSeries(self.coeffs[: order + 1])
 
-    def tail_sequence(self):
-        """Coefficients c_1..c_N as a 1-based list (drops the constant)."""
-        return list(self.coeffs[1:])
-
 
 def mul(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSeries:
     if order is None:
@@ -102,21 +93,6 @@ def mul(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSeries
         top = min(order - i, b.order)
         for j in range(top + 1):
             out[i + j] += ca * b.coeffs[j]
-    return PowerSeries(out)
-
-
-def reciprocal(a: PowerSeries, order: int | None = None) -> PowerSeries:
-    if a[0] == 0:
-        raise ValidationError("reciprocal needs a nonzero constant term")
-    if order is None:
-        order = a.order
-    inv0 = 1 / a[0]
-    out = [inv0] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, min(n, a.order) + 1):
-            acc += a[i] * out[n - i]
-        out[n] = -inv0 * acc
     return PowerSeries(out)
 
 
@@ -138,14 +114,20 @@ def compose(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSe
 
 
 def power(a: PowerSeries, e: int, order: int | None = None) -> PowerSeries:
-    if e < 0:
-        raise ValidationError("negative series powers are not defined here")
+    """a^e to order for any integer e (e < 0 needs a_0 != 0), a read as a
+    polynomial: a = c z^v u with u(0) = 1 gives c^e z^(ev) _miller(u, e)."""
     if order is None:
         order = a.order
-    out = PowerSeries.one(order)
-    for _ in range(e):
-        out = mul(out, a, order)
-    return out
+    v = next((i for i, c in enumerate(a.coeffs) if c), None)
+    if e < 0 and v != 0:
+        raise ValidationError("a negative series power needs a nonzero constant term")
+    if e == 0:
+        return PowerSeries.one(order)
+    if v is None or v * e > order:
+        return PowerSeries([0] * (order + 1))
+    c, top = a.coeffs[v], order - v * e
+    u = [(j, x / c) for j, x in enumerate(a.coeffs[v + 1:v + 1 + top], start=1) if x]
+    return PowerSeries([0] * (v * e) + [c ** e * g for g in _miller(u, Fraction(e), top)])
 
 
 def comp_inverse(p: PowerSeries) -> PowerSeries:
@@ -167,25 +149,35 @@ def _root_inverse(p: PowerSeries, k: int, b1: Fraction) -> list:
     return [b1 ** n * c for n, c in enumerate(lag, start=1)]
 
 
+def _miller(fs: list, alpha: Fraction, top: int) -> list:
+    """g_0..g_top of g = f^alpha, f(0) = 1, from the nonzero (j, f_j), j >= 1.
+
+    J.C.P. Miller's recurrence: f g' = alpha f' g gives
+    g_m = (1/m) sum_j ((alpha+1) j - m) f_j g_(m-j), g_0 = 1.  With
+    alpha = p/q the weights are integers over q, and every term has one
+    factor f_j of the input.
+    """
+    p, q = alpha.numerator, alpha.denominator
+    g, c = [Fraction(1)], p + q
+    for m in range(1, top + 1):
+        acc = sum((c * j - m * q) * (x * g[m - j]) for j, x in fs if j <= m)
+        g.append(Fraction(acc, m * q))
+    return g
+
+
 def _lagrange(h: PowerSeries, f: PowerSeries, beta: Fraction, order: int) -> list:
     """[z^n] H(w(z)) for n = 1..order, where w = z phi(w), phi = f^beta, f(0) = 1.
 
-    Lagrange inversion gives (1/n) [w^(n-1)] H'(w) f(w)^(n beta).  Each
-    power g = f^alpha comes from J.C.P. Miller's recurrence: f g' = alpha f' g
-    gives g_m = (1/m) sum_j ((alpha+1) j - m) f_j g_(m-j), g_0 = 1.  With
-    beta = p/q the weights are integers over q, every term has one factor
-    f_j of the input, and zero f_j are skipped, so a solve to order N costs
-    about N^3/6 such terms.  H and f read as zero past their last coefficient.
+    Lagrange inversion gives (1/n) [w^(n-1)] H'(w) f(w)^(n beta), and each
+    power f^(n beta) comes from _miller.  Zero f_j are skipped, so a solve
+    to order N costs about N^3/6 terms.  H and f read as zero past their
+    last coefficient.
     """
-    p, q = beta.numerator, beta.denominator
     dh = [(i, i * h[i]) for i in range(1, order + 1) if h[i]]
     fs = [(j, f[j]) for j in range(1, order) if f[j]]
     out = []
     for n in range(1, order + 1):
-        g, c = [Fraction(1)], n * p + q
-        for m in range(1, n):
-            acc = sum((c * j - m * q) * (x * g[m - j]) for j, x in fs if j <= m)
-            g.append(Fraction(acc, m * q))
+        g = _miller(fs, n * beta, n - 1)
         out.append(Fraction(sum(d * g[n - i] for i, d in dh if i <= n), n))
     return out
 
@@ -325,67 +317,14 @@ def frac_inverse(p: PowerSeries, k: int, leading_root: Fraction | None = None) -
 
 
 def solve_A_given_B(b: PowerSeries, k: int, order: int) -> PowerSeries:
-    """Unique A with constant term 1 and A(z) = B(z A(z)^k) to order.
+    """Unique A with constant term 1 and A(z) = B(z A(z)^k) to order, for
+    any integer k.
 
-    B is read as a polynomial: coefficients past b.order count as zero.
+    If B generates g then A generates g * zeta^k: a negative k peels -k
+    zeta-convolutions off.  B is read as a polynomial: coefficients past
+    b.order count as zero.
     """
     if b[0] != 1:
         raise ValidationError("B must have constant term 1")
-    if k < 0:
-        raise ValidationError("k must be >= 0")
     # w = z A^k solves w = z B(w)^k and A = B(w): H = B, phi = B^k.
     return PowerSeries([1] + _lagrange(b, b, Fraction(k), order))
-
-
-def solve_B_given_A(a: PowerSeries, order: int | None = None, k: int = 1) -> PowerSeries:
-    """Unique B with constant term 1 and A(z) = B(z A(z)^k) to order;
-    the inverse of solve_A_given_B for the same k.
-
-    This peels k zeta-convolutions off at the series level: if A is
-    the generating series of f = g * zeta^k then B generates g.  A is
-    read as a polynomial: coefficients past a.order count as zero.
-    """
-    if a[0] != 1:
-        raise ValidationError("A must have constant term 1")
-    if k < 0:
-        raise ValidationError("k must be >= 0")
-    if order is None:
-        order = a.order
-    # z solves z = w A(z)^(-k) in w = z A(z)^k, and B(w) = A(z):
-    # H = A, phi = A^(-k).
-    return PowerSeries([1] + _lagrange(a, a, Fraction(-k), order))
-
-
-def check_pair(a: PowerSeries, b: PowerSeries, mode: str, k: int,
-               order: int | None = None) -> bool:
-    """Verify one leg of the three-way functional-equation equivalence.
-
-    Given series A and B with constant term 1, let M be built from the
-    other two identities and test the selected one:
-
-    * mode "i":   M solves M = A(z M^k); test M = B(z M).
-    * mode "ii":  M solves M = B(z M);   test M = A(z M^k).
-    * mode "iii": test B = A(z B^(k-1)) directly.
-    """
-    if a[0] != 1 or b[0] != 1:
-        raise ValidationError("check_pair needs constant term 1 on both series")
-    if order is None:
-        order = min(a.order, b.order)
-    ident = PowerSeries.identity(order)
-    if mode == "iii":
-        rhs = compose(a, mul(ident, power(b, k - 1, order), order), order)
-        return b.truncate(order) == rhs
-    if mode == "i":
-        m = solve_A_given_B(a, k, order)
-        rhs = compose(b, mul(ident, m, order), order)
-        return m == rhs
-    if mode == "ii":
-        m = solve_A_given_B(b, 1, order)
-        rhs = compose(a, mul(ident, power(m, k, order), order), order)
-        return m == rhs
-    raise ValidationError(f"unknown mode {mode!r}")
-
-
-def geometric(order: int) -> PowerSeries:
-    """1/(1-z) truncated."""
-    return PowerSeries([1] * (order + 1))

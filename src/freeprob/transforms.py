@@ -26,24 +26,18 @@ def cumulants_to_moments(cum: RationalSequence, order: int | None = None,
                          route: str = "series") -> RationalSequence:
     """m_n = sum over pi in NC(n) of kappa_pi.
 
-    route "series" solves M(z) = C(z M(z)); route "enumeration" convolves
-    with the zeta family; "both" runs the two and insists they agree.
+    route "series" is the zeta power cum * zeta, which solves
+    M(z) = C(z M(z)); route "enumeration" walks the convolution with the
+    zeta family; "both" runs the two and insists they agree.
     """
     if order is None:
         order = cum.order
     if cum.order < order:
         raise ValidationError("cumulant sequence too short")
-
-    def by_series() -> RationalSequence:
-        c = PowerSeries.from_sequence_with_unit(cum, order)
-        m = series.solve_A_given_B(c, 1, order)
-        return RationalSequence(m.tail_sequence())
-
-    def by_enum() -> RationalSequence:
-        return incidence.kdivisible_conv(1, cum.prefix(order), None, order)
-
-    return run_route("cumulants_to_moments", route,
-                     {"series": by_series, "enumeration": by_enum})
+    return run_route("cumulants_to_moments", route, {
+        "series": lambda: incidence.zeta_power_conv(cum, 1, order),
+        "enumeration": lambda: incidence.kdivisible_conv(1, cum.prefix(order), None, order),
+    })
 
 
 def moments_to_cumulants(mom: RationalSequence, order: int | None = None,
@@ -53,18 +47,11 @@ def moments_to_cumulants(mom: RationalSequence, order: int | None = None,
         order = mom.order
     if mom.order < order:
         raise ValidationError("moment sequence too short")
-
-    def by_series() -> RationalSequence:
-        m = PowerSeries.from_sequence_with_unit(mom, order)
-        c = series.solve_B_given_A(m)
-        return RationalSequence(c.tail_sequence())
-
-    def by_moebius() -> RationalSequence:
-        return incidence.kdivisible_conv(1, mom.prefix(order),
-                                         incidence.moebius_family(order), order)
-
-    return run_route("moments_to_cumulants", route,
-                     {"series": by_series, "enumeration": by_moebius})
+    return run_route("moments_to_cumulants", route, {
+        "series": lambda: incidence.zeta_power_conv(mom, -1, order),
+        "enumeration": lambda: incidence.kdivisible_conv(
+            1, mom.prefix(order), incidence.moebius_family(order), order),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +204,14 @@ def s_power_relation_check(mom: RationalSequence, k: int, order: int,
     s_xk = _as_puiseux(s_transform(undil, undil.order))
     if k == 1:
         return series.puiseux_agree(s_x, s_xk, min_window)
-    lhs = s_xk
-    # (z/(1+z))^(k-1) = z^(k-1) * (1+z)^-(k-1), computed to a generous order
-    aux_order = max(order, s_x.hi - k * (1 - k) + k) * 2
-    recip = series.reciprocal(
-        PowerSeries([1, 1] + [0] * (aux_order - 1)), aux_order
-    )
-    factor = series.power(recip, k - 1, aux_order)
-    rhs = series.puiseux_mul(series.puiseux_pow(s_x, k),
+    s_x_to_k = series.puiseux_pow(s_x, k)
+    # (z/(1+z))^(k-1) = z^(k-1) (1+z)^(1-k): ceil(len/ram) z-exponents
+    # span the window of S_x^k, so the product keeps that window
+    aux_order = -(-len(s_x_to_k.coeffs) // s_x_to_k.ram)
+    factor = series.power(PowerSeries([1, 1]), 1 - k, aux_order)
+    rhs = series.puiseux_mul(s_x_to_k,
                              PuiseuxSeries.from_power_series(factor, k).shift(k * (k - 1)))
-    return series.puiseux_agree(lhs, rhs, min_window)
+    return series.puiseux_agree(s_xk, rhs, min_window)
 
 
 def rescale_to_monic(mom: RationalSequence, k: int) -> tuple:

@@ -70,6 +70,24 @@ def test_zeta_power_runs_on_the_series_route(tmp_path, capsys):
     assert code == 0 and json.loads(out)["values"][-1] == "2530/1"
 
 
+def test_negative_powers_peel_zeta_factors_off(tmp_path, capsys):
+    # Catalan moments times zeta^-1 are the all-ones cumulants; the series
+    # 1 + Catalan(z) solves A = B(z A^-1) for B = 1/(1-z) and A = B(z A^-2)
+    # for B = 1 + z
+    seq = tmp_path / "catalan.json"
+    seq.write_text(json.dumps([str(c) for c in (1, 2, 5, 14, 42)]))
+    code, out, _ = run_cli(capsys, "conv", "zeta-power", "--in", str(seq), "--k", "-1")
+    assert code == 0 and json.loads(out)["values"] == ["1/1"] * 5
+    code, out, _ = run_cli(capsys, "conv", "zeta-power", "--in", str(seq), "--k", "-2")
+    assert code == 0 and json.loads(out)["values"] == ["1/1"] + ["0/1"] * 4
+    ser = tmp_path / "catalan_series.json"
+    ser.write_text(json.dumps([str(c) for c in (1, 1, 2, 5, 14)]))
+    code, out, _ = run_cli(capsys, "series", "solve-fe", "--in", str(ser), "--k", "-1")
+    assert code == 0 and json.loads(out) == ["1/1"] * 5
+    code, out, _ = run_cli(capsys, "series", "solve-fe", "--in", str(ser), "--k", "-2")
+    assert code == 0 and json.loads(out) == ["1/1", "1/1"] + ["0/1"] * 3
+
+
 def test_series_verbs(tmp_path, capsys):
     f = tmp_path / "p.json"
     f.write_text(json.dumps(["0/1", "1/1", "1/1", "0/1", "0/1"]))
@@ -346,8 +364,12 @@ def test_malformed_rational_option_is_a_validation_error(tmp_path, capsys, flag,
     (["ksym", "clt", "--in", "{f}", "--n-samples", "4", "--order", "2"],
      {"k": 2.5, "base": ["1/1", "2/1"]}),
     (["transform", "m2c", "--in", "{f}"], [[1]]),
+    (["transform", "m2c", "--in", "{f}"], [True, False, True]),
+    (["transform", "word-moment", "--vars", "{f}", "--word", "x:1"],
+     [{"label": "x", "moments": ["1/1"], "period": True}]),
 ], ids=["vars-without-label", "vars-not-an-array", "law-without-base",
-        "law-k-not-an-integer", "law-k-not-integral", "nested-sequence"])
+        "law-k-not-an-integer", "law-k-not-integral", "nested-sequence",
+        "sequence-of-booleans", "vars-period-boolean"])
 def test_malformed_json_input_is_a_validation_error(tmp_path, capsys, argv, payload):
     f = tmp_path / "input.json"
     f.write_text(json.dumps(payload))

@@ -8,6 +8,7 @@ from freeprob import incidence as inc
 from freeprob import ncpart as nc
 from freeprob.errors import ValidationError
 from freeprob.sequences import RationalSequence
+from oracles import catalan_by_recurrence, multichain_count_enumerated
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -163,10 +164,29 @@ def test_zeta_power_series_route_matches_both_walks(g, k):
     assert inc.zeta_power_conv(g, k, order) == both
 
 
+@settings(max_examples=12, deadline=None)
+@given(seqs(8), st.integers(min_value=1, max_value=3))
+def test_negative_zeta_power_routes_agree_and_invert(g, k):
+    # the Moebius family walks |k| times, or once on the |k|-dilation
+    order = 8 // k
+    g = g.prefix(order)
+    down = inc.zeta_power_conv(g, -k, order, route="both")
+    assert inc.zeta_power_conv(g, -k, order) == down
+    assert inc.zeta_power_conv(down, k, order, route="both") == g
+    assert inc.zeta_power_conv(inc.zeta_power_conv(g, k, order), -k, order) == g
+
+
 def test_zeta_power_edge_cases():
     g = RationalSequence([2, 3, 4])
     assert inc.zeta_power_conv(g, 0, 3) == g
     assert inc.zeta_power_conv(inc.delta_family(4), 1, 4) == inc.zeta_family(4)
+    # zeta^-1 is the Moebius family
+    n = 6
+    assert inc.zeta_power_conv(inc.delta_family(n), -1, n) == inc.moebius_family(n)
+    assert inc.zeta_power_conv(inc.zeta_family(n), -1, n) == inc.delta_family(n)
+    catalan = RationalSequence([nc.catalan(m) for m in range(1, n + 1)])
+    assert inc.zeta_power_conv(catalan, -1, n) == inc.zeta_family(n)
+    assert inc.zeta_power_conv(catalan, -2, n) == inc.delta_family(n)
 
 
 def test_delta_zeta_power_counts_kequal_partitions():
@@ -180,7 +200,7 @@ def test_delta_zeta_power_counts_kequal_partitions():
             val = inc.zeta_power_conv(inc.delta_family(n), k + 1, n)[n]
             assert val == nc.count_kequal(k + 1, n)
             assert val == nc.fuss_catalan_kdivisible(k, n)
-            assert val == inc.multichain_count_enumerated(k, n)
+            assert val == multichain_count_enumerated(k, n)
 
 
 def test_zeta_power_matches_poset_multichain_walks():
@@ -191,7 +211,7 @@ def test_zeta_power_matches_poset_multichain_walks():
             if (j + 1) * n > 8:
                 continue
             val = inc.zeta_power_conv(inc.delta_family(n), j + 1, n)[n]
-            assert val == inc.multichain_count_enumerated(j, n)
+            assert val == multichain_count_enumerated(j, n)
             assert val == nc.count_multichains(j, n)
 
 
@@ -209,7 +229,7 @@ def test_multichains_of_kdivisible_poset():
         for _ in range(l - 1):
             ways = [sum(ways[i] for i in below[j]) for j in range(len(elems))]
         direct = sum(ways)
-        assert direct == inc.multichain_count_enumerated(l * k, n)
+        assert direct == multichain_count_enumerated(l * k, n)
         assert direct == inc.zeta_power_conv(inc.delta_family(n), l * k + 1, n)[n]
 
 
@@ -228,7 +248,7 @@ def test_iterated_h_convolution_equals_dilated_route(g, h, k):
 
 def test_catalan_by_recurrence_matches_closed_form():
     for n in range(0, 15):
-        assert inc.catalan_by_recurrence(n) == nc.catalan(n)
+        assert catalan_by_recurrence(n) == nc.catalan(n)
 
 
 def test_concurrent_cache_initialization_is_consistent():

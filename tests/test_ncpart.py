@@ -93,6 +93,22 @@ def test_budget_decides_from_n_before_any_count(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: nc.iter_nc(10**6), ResourceLimitError),
+    (lambda: nc.iter_nc(0), ValidationError),
+    (lambda: nc.iter_kdivisible(2, 10**6), ResourceLimitError),
+    (lambda: nc.iter_kdivisible(2, 0), ValidationError),
+    (lambda: nc.iter_kequal(2, 10**6), ResourceLimitError),
+    (lambda: nc.iter_kequal(2, 0), ValidationError),
+], ids=["nc-too-large", "nc-zero", "kdivisible-too-large", "kdivisible-zero",
+        "kequal-too-large", "kequal-zero"])
+def test_enumerators_validate_on_the_call(call, error):
+    # the iterator is never advanced: validation and budget run on the call,
+    # as they do for the *_blocks functions
+    with pytest.raises(error):
+        call()
+
+
 def test_kequal_with_k_one_is_one_partition_past_the_cap():
     assert nc.enumerate_kequal(1, 40) == [nc.zero_partition(40)]
 

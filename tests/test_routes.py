@@ -103,6 +103,8 @@ ISOLATED = {
     "conv, nonzero leading entries": (_conv(SEQ, SEQ, 6), ["series"], ["walk"]),
     "zeta_power_conv": (lambda route: incidence.zeta_power_conv(ZERO_LED, 2, 4, route=route),
                         ["series"], ["iterated", "dilated"]),
+    "zeta_power_conv, negative power": (lambda route: incidence.zeta_power_conv(
+        ZERO_LED, -2, 4, route=route), ["series"], ["iterated", "dilated"]),
     "cumulants_to_moments": (lambda route: transforms.cumulants_to_moments(
         ZERO_LED, 6, route=route), ["series"], ["enumeration"]),
     "moments_to_cumulants": (lambda route: transforms.moments_to_cumulants(

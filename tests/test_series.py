@@ -11,6 +11,7 @@ from freeprob import transforms as tr
 from freeprob.errors import IrrationalRootError, ValidationError
 from freeprob.sequences import RationalSequence
 from freeprob.series import PowerSeries, PuiseuxSeries
+from oracles import check_pair, geometric
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -29,14 +30,18 @@ def series_st(order, unit_constant=False, unit_linear=False):
 def test_mul_unit_and_reciprocal_geometric():
     a = PowerSeries([2, 3, Fraction(1, 2), 5])
     assert se.mul(a, PowerSeries.one(3)) == a
-    r = se.reciprocal(PowerSeries([1, -1, 0, 0, 0]))
-    assert r == se.geometric(4)
-    assert se.mul(a, se.reciprocal(a)) == PowerSeries.one(3)
+    r = se.power(PowerSeries([1, -1, 0, 0, 0]), -1)
+    assert r == geometric(4)
+    assert se.mul(a, se.power(a, -1)) == PowerSeries.one(3)
 
 
 def test_reciprocal_requires_unit():
-    with pytest.raises(ValidationError):
-        se.reciprocal(PowerSeries([0, 1]))
+    for a, e in ((PowerSeries([0, 1]), -1), (PowerSeries([0, 1, 2]), -2),
+                 (PowerSeries([0, 0]), -1)):
+        with pytest.raises(ValidationError, match="nonzero constant term"):
+            se.power(a, e)
+    assert se.power(PowerSeries([0, 0]), 0) == PowerSeries.one(1)
+    assert se.power(PowerSeries([0, 1, 1]), 3) == PowerSeries([0, 0, 0])
 
 
 def test_compose_examples():
@@ -44,8 +49,8 @@ def test_compose_examples():
     a = PowerSeries([1, 2, -1, 3, 0, 0, 0, 0, 0])
     z = PowerSeries.identity(n)
     assert se.compose(a, z, n) == a
-    left = se.mul(z, se.geometric(n), n)  # z/(1-z)
-    right = se.mul(z, se.reciprocal(PowerSeries([1, 1] + [0] * (n - 1))), n)
+    left = se.mul(z, geometric(n), n)  # z/(1-z)
+    right = se.mul(z, se.power(PowerSeries([1, 1] + [0] * (n - 1)), -1), n)
     assert se.compose(left, right, n) == z
     assert se.compose(PowerSeries([1, 1, 0]), PowerSeries([0, 2, 0]), 2) == \
         PowerSeries([1, 2, 0])
@@ -56,7 +61,7 @@ def test_compose_examples():
 def test_comp_inverse_known_series():
     n = 8
     assert se.comp_inverse(PowerSeries.identity(n)) == PowerSeries.identity(n)
-    p = se.mul(PowerSeries.identity(n), se.geometric(n), n)  # z/(1-z)
+    p = se.mul(PowerSeries.identity(n), geometric(n), n)  # z/(1-z)
     q = se.comp_inverse(p)  # z/(1+z)
     assert q.coeffs[1:] == tuple(Fraction((-1) ** (i - 1)) for i in range(1, n + 1))
     p2 = PowerSeries([0, 1, 1] + [0] * (n - 2))
@@ -157,9 +162,9 @@ def test_solve_functional_equation_families():
     cat = se.solve_A_given_B(b_atom, 2, n)
     assert [int(c) for c in cat.coeffs] == [nc.catalan(m) for m in range(n + 1)]
     # A = 1 + z A: geometric
-    assert se.solve_A_given_B(b_atom, 1, n) == se.geometric(n)
+    assert se.solve_A_given_B(b_atom, 1, n) == geometric(n)
     # B = 1/(1-z), k = 1: A = 1 + z A^2 again
-    assert se.solve_A_given_B(se.geometric(n), 1, n) == cat
+    assert se.solve_A_given_B(geometric(n), 1, n) == cat
     # A = 1 + z A^3: 3-equal partition counts
     triple = se.solve_A_given_B(b_atom, 3, n)
     assert [int(c) for c in triple.coeffs[:5]] == [1, 1, 3, 12, 55]
@@ -180,23 +185,24 @@ def test_functional_equation_duality(b):
     n = 7
     a = se.solve_A_given_B(b, 1, n)
     z = PowerSeries.identity(n)
-    rhs = se.compose(a, se.mul(z, se.reciprocal(b, n), n), n)
+    rhs = se.compose(a, se.mul(z, se.power(b, -1, n), n), n)
     assert rhs == b
-    # and solve_B_given_A inverts solve_A_given_B
-    assert se.solve_B_given_A(a) == b
+    # and k = -1 inverts k = 1
+    assert se.solve_A_given_B(a, -1, a.order) == b
 
 
 @settings(max_examples=20, deadline=None)
 @given(series_st(7, unit_constant=True), st.integers(min_value=0, max_value=4),
        st.integers(min_value=0, max_value=9))
 def test_solve_B_given_A_inverts_solve_A_given_B_for_every_k(b, k, n):
-    # A = B(z A^k) both ways; B is read as a polynomial past its order
+    # A = B(z A^k) both ways, k and -k; B is read as a polynomial past
+    # its order
     a = se.solve_A_given_B(b, k, n)
-    got = se.solve_B_given_A(a, n, k)
+    got = se.solve_A_given_B(a, -k, n)
     assert got == PowerSeries([b[i] for i in range(n + 1)])
     assert all_fractions(got.coeffs)
-    with pytest.raises(ValidationError):
-        se.solve_B_given_A(a, n, -1)
+    # the other way round: peel k zetas off first, then put them back
+    assert se.solve_A_given_B(se.solve_A_given_B(b, -k, n), k, n) == got
 
 
 @settings(max_examples=12, deadline=None)
@@ -206,9 +212,9 @@ def test_chain_of_intermediate_solutions(a, k):
     # B_i = A(z B_i^(k-i)), and the last one is A itself
     n = 7
     m = se.solve_A_given_B(a, k, n)
-    chain = [se.solve_B_given_A(m)]
+    chain = [se.solve_A_given_B(m, -1, n)]
     for _ in range(k - 1):
-        chain.append(se.solve_B_given_A(chain[-1]))
+        chain.append(se.solve_A_given_B(chain[-1], -1, n))
     z = PowerSeries.identity(n)
     for i, b_i in enumerate(chain, start=1):
         rhs = se.compose(a, se.mul(z, se.power(b_i, k - i, n), n), n)
@@ -220,12 +226,12 @@ def test_check_pair_modes():
     n = 8
     one = PowerSeries.one(n)
     for mode in ("i", "ii", "iii"):
-        assert se.check_pair(one, one, mode, 2)
+        assert check_pair(one, one, mode, 2)
     a = se.solve_A_given_B(PowerSeries([1, 1] + [0] * (n - 1)), 3, n)
-    b = se.solve_B_given_A(se.solve_A_given_B(a, 3, n))
+    b = se.solve_A_given_B(se.solve_A_given_B(a, 3, n), -1, n)
     for mode in ("i", "ii", "iii"):
-        assert se.check_pair(a, b, mode, 3)
-    assert not se.check_pair(
+        assert check_pair(a, b, mode, 3)
+    assert not check_pair(
         PowerSeries([1, 1] + [0] * 6), PowerSeries([1, 2] + [0] * 6), "iii", 2
     )
 
@@ -310,9 +316,9 @@ def test_solvers_match_old_algorithms(order, k, tail):
     b = PowerSeries([1] + tail)
     a = se.solve_A_given_B(b, k, order)
     assert a == old_solve_A_given_B(b, k, order) and all_fractions(a.coeffs)
-    got = se.solve_B_given_A(b, order)
+    got = se.solve_A_given_B(b, -1, order)
     assert got == old_solve_B_given_A(b, order) and all_fractions(got.coeffs)
-    assert se.solve_B_given_A(b) == old_solve_B_given_A(b, b.order)
+    assert se.solve_A_given_B(b, -1, b.order) == old_solve_B_given_A(b, b.order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,6 +345,65 @@ def test_frac_inverse_matches_old_algorithm(k, extra, root, negative, tail):
     assert all_fractions(chi.coeffs)
 
 
+def parent_solve_B_given_A(a, order, k):
+    """B with A = B(z A^k): Lagrange inversion with H = A, phi = A^(-k),
+    each power A^(-nk) from Miller's recurrence written out in place."""
+    q, out = 1, []
+    fs = [(j, a[j]) for j in range(1, order) if a[j]]
+    for n in range(1, order + 1):
+        g, c = [Fraction(1)], -n * k + q
+        for m in range(1, n):
+            acc = sum((c * j - m * q) * (x * g[m - j]) for j, x in fs if j <= m)
+            g.append(Fraction(acc, m * q))
+        out.append(Fraction(sum(i * a[i] * g[n - i] for i in range(1, n + 1)), n))
+    return PowerSeries([1] + out)
+
+
+def parent_reciprocal(a, order):
+    """1/a by the recurrence a_0 r_n = -sum_(i >= 1) a_i r_(n-i)."""
+    inv0 = 1 / a[0]
+    out = [inv0] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for i in range(1, min(n, a.order) + 1):
+            acc += a[i] * out[n - i]
+        out[n] = -inv0 * acc
+    return PowerSeries(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=4),
+       st.lists(rationals, min_size=0, max_size=10))
+def test_negative_k_matches_the_parent_inverse_solver(order, k, tail):
+    b = PowerSeries([1] + tail)
+    got = se.solve_A_given_B(b, -k, order)
+    assert got == parent_solve_B_given_A(b, order, k) and all_fractions(got.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=3), st.lists(rationals, min_size=1, max_size=7),
+       st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=4))
+def test_power_matches_repeated_multiplication(zeros, coeffs, e, extra):
+    # leading zeros and an order past a.order (a read as a polynomial)
+    a = PowerSeries([0] * zeros + coeffs)
+    for order in (None, a.order + extra):
+        want = PowerSeries.one(a.order if order is None else order)
+        for _ in range(e):
+            want = se.mul(want, a, want.order)
+        got = se.power(a, e, order)
+        assert got == want and all_fractions(got.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals.filter(bool), st.lists(rationals, min_size=0, max_size=7),
+       st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=4))
+def test_negative_power_matches_the_reciprocal_recurrence(a0, tail, order, e):
+    a = PowerSeries([a0] + tail)
+    inv = se.power(a, -1, order)
+    assert inv == parent_reciprocal(a, order) and all_fractions(inv.coeffs)
+    assert se.mul(se.power(a, -e, order), se.power(a, e, order)) == PowerSeries.one(order)
+
+
 def test_solve_A_given_B_edge_orders_and_k_zero():
     b = PowerSeries([1, 2, Fraction(-1, 3), 5])
     # k = 0: A = B(z), cut or padded to the order
@@ -347,11 +412,11 @@ def test_solve_A_given_B_edge_orders_and_k_zero():
     for k in range(4):
         assert se.solve_A_given_B(b, k, 0) == PowerSeries([1])
         assert se.solve_A_given_B(b, k, 1) == PowerSeries([1, 2])
-    assert se.solve_B_given_A(b, 0) == PowerSeries([1])
+    assert se.solve_A_given_B(b, -1, 0) == PowerSeries([1])
     one = se.solve_A_given_B(PowerSeries([1]), 2, 5)
     assert one == PowerSeries.one(5) and all_fractions(one.coeffs)
-    with pytest.raises(ValidationError):
-        se.solve_A_given_B(b, -1, 3)
+    # a negative k peels zeta factors off
+    assert se.solve_A_given_B(b, -1, 3) == old_solve_B_given_A(b, 3)
 
 
 def test_short_B_is_read_as_a_polynomial():
@@ -361,7 +426,7 @@ def test_short_B_is_read_as_a_polynomial():
     assert cat == old_solve_A_given_B(PowerSeries([1, 1]), 2, n)
     # A short A is a polynomial for the inverse solve too
     short = PowerSeries([1, 2, 3])
-    assert se.solve_B_given_A(short, 7) == old_solve_B_given_A(short, 7)
+    assert se.solve_A_given_B(short, -1, 7) == old_solve_B_given_A(short, 7)
 
 
 def test_frac_inverse_at_minimal_order():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from freeprob import series as se
 from freeprob import transforms as tr
 from freeprob.errors import ValidationError
 from freeprob.sequences import RationalSequence
+from oracles import check_pair
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -260,10 +262,10 @@ def test_power_cumulant_triple_satisfies_functional_equations():
             [Fraction(rnd.randint(-4, 4), rnd.randint(1, 4)) for _ in range(order)]
         )
         beta = tr.kdiv_power_cumulants(alpha, k, order)
-        a = se.PowerSeries.from_sequence_with_unit(alpha, order)
-        b = se.PowerSeries.from_sequence_with_unit(beta, order)
+        a = se.PowerSeries([1, *alpha.values[:order]])
+        b = se.PowerSeries([1, *beta.values[:order]])
         for mode in ("i", "ii", "iii"):
-            assert se.check_pair(a, b, mode, k), (k, mode)
+            assert check_pair(a, b, mode, k), (k, mode)
 
 
 def test_s_multiplicativity_on_example_families():
@@ -294,6 +296,44 @@ def test_s_power_relation():
     assert tr.s_power_relation_check(dilated, 3, 18, min_window=6)
     with pytest.raises(ValidationError):
         tr.s_power_relation_check(tr.free_poisson_moments(6), 2, 6)
+
+
+def old_s_power_window(mom, k, order):
+    """(verdict, width) of the relation over the common window of
+    w-exponents, with (z/(1+z))^(k-1) taken to twice a guessed order."""
+    undil = inc.undilate(mom.prefix(order), k)
+    s_x = tr._as_puiseux(tr.s_transform(mom, order))
+    lhs = tr._as_puiseux(tr.s_transform(undil, undil.order))
+    rhs = s_x
+    if k > 1:
+        aux_order = max(order, s_x.hi - k * (1 - k) + k) * 2
+        factor = se.PowerSeries.one(aux_order)
+        recip = se.PowerSeries([(-1) ** n for n in range(aux_order + 1)])  # 1/(1+z)
+        for _ in range(k - 1):
+            factor = se.mul(factor, recip, aux_order)
+        rhs = se.puiseux_mul(se.puiseux_pow(s_x, k),
+                             se.PuiseuxSeries.from_power_series(factor, k).shift(k * (k - 1)))
+    ram = lhs.ram * rhs.ram // math.gcd(lhs.ram, rhs.ram)
+    lhs, rhs = lhs.reindex(ram), rhs.reindex(ram)
+    width = min(lhs.hi, rhs.hi) - max(lhs.lo, rhs.lo) + 1
+    return se.puiseux_agree(lhs, rhs, 1), width
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6),
+       st.booleans(), st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3),
+       st.lists(rationals, min_size=0, max_size=5))
+def test_s_power_relation_sizes_its_factor_from_the_window(k, min_window, lead_zero,
+                                                           root, tail):
+    # a k-dilated law whose first nonzero moment has a rational k-th root;
+    # the factor must leave the old window whole, so every min_window
+    # reads the old verdict
+    base = [0] * lead_zero + [1 / root ** (k * (1 + lead_zero))] + tail
+    mom = inc.dilate(RationalSequence(base), k)
+    agree, width = old_s_power_window(mom, k, mom.order)
+    for window in (min_window, width, width + 1):
+        want = agree and width >= window
+        assert tr.s_power_relation_check(mom, k, mom.order, window) == want
 
 
 def test_rescale_to_monic():
