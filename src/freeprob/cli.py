@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import incidence, ksym, matmodel, ncpart, series, transforms
 from .errors import ResourceLimitError, ValidationError
 from .ksym import KSymmetricDistribution
-from .sequences import RationalSequence, frac_to_str
+from .sequences import RationalSequence, _decimal_str, frac_to_str
 from .series import PowerSeries, PuiseuxSeries
 
 
@@ -95,14 +95,6 @@ def _emit(args, payload, csv_rows=None) -> None:
             print(",".join(str(c) for c in row))
     else:
         print(json.dumps(payload, sort_keys=True))
-
-
-def _decimal_str(v: Fraction, places: int) -> str:
-    """v rounded half to even at the given places, formatted like "%.{places}f"."""
-    digits = str(abs(round(v * 10 ** places))).rjust(places + 1, "0")
-    if places:
-        digits = digits[:-places] + "." + digits[-places:]
-    return "-" + digits if v < 0 else digits
 
 
 def _seq_payload(args, seq: RationalSequence, name: str = "values"):

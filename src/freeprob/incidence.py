@@ -9,10 +9,10 @@ elements.
 Two independent computations exist for every convolution.  The series
 one, the default, uses the Nica-Speicher Fourier transform of
 multiplicative families, F(f)(z) = f^{<-1>}(z)/z with F(f*g) = F(f) F(g),
-where f(z) = sum f_n z^n: `conv` solves it by Lagrange inversion even
-when a leading entry is zero, and a zeta power g * zeta^k, for any
-integer k, is the A with A = B(z A^k), B = 1 + g(z).  Both cost
-polynomial time.
+where f(z) = sum f_n z^n: `conv(f, g, order, t)` is f * g^{*t} for
+any integer t, one Lagrange inversion since F(g^{*t}) = F(g)^t, even
+when a leading entry is zero; a zeta power g * zeta^k is the A with
+A = B(z A^k), B = 1 + g(z).  Both cost polynomial time.
 
 The walk is the test oracle.  It never walks NC(n) twice: a per-n
 histogram keyed by the pair (block sizes of pi, block sizes of Kr(pi))
@@ -100,11 +100,14 @@ def moebius_family(order: int) -> RationalSequence:
     )
 
 
-def conv(f: RationalSequence, g: RationalSequence, order: int | None = None) -> RationalSequence:
-    """(f*g)_n = sum over pi in NC(n) of f_pi g_{Kr(pi)}, n = 1..order.
+def conv(f: RationalSequence, g: RationalSequence, order: int | None = None,
+         t: int = 1) -> RationalSequence:
+    """f * g^{*t}, entry n = 1..order, for any integer t; (f*g)_n is the
+    sum over pi in NC(n) of f_pi g_{Kr(pi)}, and g^{*(-1)} needs g_1 != 0.
 
-    Computed from Nica-Speicher transforms; kdivisible_conv(1, f, g, order)
-    is the walk over NC(n) that the tests hold it against.
+    Computed from Nica-Speicher transforms, F(g^{*t}) = F(g)^t;
+    kdivisible_conv(1, f, g, order) is the walk over NC(n) that the tests
+    hold it against.
     """
     if order is None:
         order = min(f.order, g.order)
@@ -112,23 +115,28 @@ def conv(f: RationalSequence, g: RationalSequence, order: int | None = None) -> 
         raise ValidationError("operand order too small for requested convolution order")
     if order < 1:
         return RationalSequence([])  # the walk's empty-sequence error
+    if t == 0:
+        return f.prefix(order)
     fv, gv = f.values[:order], g.values[:order]
-    if not gv[0]:
+    if not gv[0] and t == 1:
         fv, gv = gv, fv  # f*g = g*f
     if not gv[0]:
+        if t < 0:
+            raise ValidationError("a negative convolution power needs g_1 != 0")
         # pi and Kr(pi) both free of singletons would need
-        # |pi| + |Kr(pi)| <= n/2 + n/2, but the sum is n + 1
+        # |pi| + |Kr(pi)| <= n/2 + n/2, but the sum is n + 1; so g*g = 0
         return RationalSequence([0] * order)
-    # F(f*g) = F(f) F(g) means (f*g)^{<-1>}(z) = f^{<-1>}(z) F(g)(z).  At
-    # z = f(w) this reads (f*g)(Phi(w)) = f(w) with Phi(w) = w F(g)(f(w)),
-    # an identity between polynomials in f_1, f_2, ..., so it holds for
-    # f_1 = 0 as well.  Phi(w) = w P(w) / g_1 with P(0) = 1, so
-    # w = (g_1 z) / P(w) inverts it and Lagrange gives (f*g) = f(w(z)).
+    # F(f*g^{*t}) = F(f) F(g)^t means (f*g^{*t})^{<-1>}(z) = f^{<-1>}(z)
+    # F(g)(z)^t.  At z = f(w) this reads (f*g^{*t})(Phi(w)) = f(w) with
+    # Phi(w) = w F(g)(f(w))^t, an identity between polynomials in f_1,
+    # f_2, ..., so it holds for f_1 = 0 as well.  Phi(w) = w P(w)^t / g_1^t
+    # with P(0) = 1, so w = (g_1^t z) / P(w)^t inverts it and Lagrange
+    # gives f*g^{*t} = f(w(z)).
     g1 = gv[0]
     transform = series.comp_inverse(PowerSeries([0, *gv])).coeffs[1:]  # F(g)
     p = series.compose(PowerSeries([g1 * c for c in transform]), PowerSeries([0, *fv]))
-    lag = series._lagrange(PowerSeries([0, *fv]), p, Fraction(-1), order)
-    return RationalSequence([g1 ** n * c for n, c in enumerate(lag, start=1)])
+    lag = series._lagrange(PowerSeries([0, *fv]), p, Fraction(-t), order)
+    return RationalSequence([g1 ** (t * n) * c for n, c in enumerate(lag, start=1)])
 
 
 def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | None,

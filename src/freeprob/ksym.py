@@ -6,7 +6,8 @@ of its k-th power: the full moments vanish off multiples of k and
 m_{kn} equals the n-th entry of the stored base.  Since k convolutions
 with zeta in NC are one in NC^k, the base is alpha * zeta^k for the
 determining sequence alpha_n = kappa_{kn}: either one follows from the
-other by one series solve at the base's order.  Everything is exact;
+other by one series solve at the base's order, and a free multiplicative
+power is one incidence.conv solve.  Everything is exact;
 free additive powers are computed formally for every t > 0, and the
 carried validity flag (from a Hankel test on the base) records whether
 the result is certified as an actual measure.
@@ -112,17 +113,13 @@ def semicircle_sk(k: int, order: int) -> KSymmetricDistribution:
 def boxtimes_positive(d: KSymmetricDistribution, nu: RationalSequence,
                       order: int) -> KSymmetricDistribution:
     """Free multiplicative convolution with a positive law: the base of
-    the result is the base of d convolved with the k-th multiplicative
-    power of nu."""
+    the result is base_d * kappa(nu)^{*k}, one incidence.conv solve."""
     if not transforms.hankel_check(nu, stieltjes=True):
         raise ValidationError("nu fails the Stieltjes moment test")
     if nu.order < order or d.base.order < order:
         raise ValidationError("not enough moments for requested order")
     c_nu = transforms.moments_to_cumulants(nu.prefix(order), order)
-    m = d.base.prefix(order)
-    for _ in range(d.k):
-        m = transforms.product_moments(c_nu, m, order)
-    return KSymmetricDistribution(d.k, m)
+    return KSymmetricDistribution(d.k, incidence.conv(d.base, c_nu, order, d.k))
 
 
 def boxplus_power(d: KSymmetricDistribution, t, order: int) -> KSymmetricDistribution:
@@ -210,15 +207,17 @@ def xk_of_kdivisible(alpha: RationalSequence, k: int, order: int) -> RationalSeq
 
 
 def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
-                           route: str = "iterated") -> RationalSequence:
+                           route: str = "series") -> RationalSequence:
     """Moments of the k-fold free multiplicative power of a positive law:
     m_n = sum over k-divisible pi in NC(kn) of kappa_{Kr(pi)}(mu).
 
-    route "iterated" (the default) takes k-1 product_moments steps with
-    the cumulants of mu, route "enumeration" walks the k-divisible
+    route "series" (the default) is the one solve mu * kappa(mu)^{*(k-1)}
+    of incidence.conv, route "enumeration" walks the k-divisible
     partition types and needs moments up to k*order; "both" checks
     agreement.
     """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
     if not transforms.hankel_check(mu.prefix(min(mu.order, 2 * order)), stieltjes=True):
         raise ValidationError("mu fails the Stieltjes moment test")
 
@@ -228,15 +227,11 @@ def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
         cums = transforms.moments_to_cumulants(mu.prefix(k * order), k * order)
         return incidence.kdivisible_conv(k, None, cums, order)
 
-    def by_iter() -> RationalSequence:
-        c1 = transforms.moments_to_cumulants(mu.prefix(order), order)
-        m = mu.prefix(order)
-        for _ in range(k - 1):
-            m = transforms.product_moments(c1, m, order)
-        return m
-
-    return run_route("boxtimes_power_moments", route,
-                     {"enumeration": by_enum, "iterated": by_iter})
+    return run_route("boxtimes_power_moments", route, {
+        "enumeration": by_enum,
+        "series": lambda: incidence.conv(
+            mu, transforms.moments_to_cumulants(mu.prefix(order), order), order, k - 1),
+    })
 
 
 def infdiv_power_identity_check(rate, jump: KSymmetricDistribution, k: int,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import transforms
 from .errors import ValidationError
-from .sequences import RationalSequence, frac_to_str
+from .sequences import RationalSequence, _decimal_str, frac_to_str
 
 
 @dataclass(frozen=True)
@@ -27,21 +27,6 @@ class KCyclePermutation:
     @property
     def size(self) -> int:
         return self.n_cycles * self.k
-
-    def cycle_lengths(self) -> list:
-        seen = [False] * self.size
-        out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.mapping[x]
-                length += 1
-            out.append(length)
-        return out
 
     def inverse(self) -> tuple:
         inv = [0] * self.size
@@ -83,19 +68,10 @@ def parse_word(text: str) -> tuple:
 def normalize_word(letters) -> tuple:
     """Merge adjacent letters with the same matrix index, drop zero
     exponents."""
-    out: list = []
-    for idx, exp in letters:
-        if idx < 1:
-            raise ValidationError("matrix indices are 1-based")
-        if exp == 0:
-            continue
-        if out and out[-1][0] == idx:
-            idx0, exp0 = out.pop()
-            if exp0 + exp != 0:
-                out.append((idx0, exp0 + exp))
-        else:
-            out.append((idx, exp))
-    return tuple(out)
+    letters = tuple(letters)
+    if any(idx < 1 for idx, _exp in letters):
+        raise ValidationError("matrix indices are 1-based")
+    return transforms._reduce_word(letters)
 
 
 def format_word(word) -> str:
@@ -168,9 +144,9 @@ def freeness_experiment(r: int, n_cycles: int, k: int, words, trials: int,
         report["words"].append({
             "word": format_word(word),
             "empirical_mean": frac_to_str(mean),
-            "empirical_mean_decimal": f"{float(mean):.6f}",
+            "empirical_mean_decimal": _decimal_str(mean, 6),
             "prediction": frac_to_str(pred),
             "deviation": frac_to_str(dev),
-            "deviation_decimal": f"{float(dev):.6f}",
+            "deviation_decimal": _decimal_str(dev, 6),
         })
     return report

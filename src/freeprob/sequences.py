@@ -19,6 +19,14 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _decimal_str(x: Fraction, places: int) -> str:
+    """x rounded half to even at the given places, formatted like "%.{places}f"."""
+    digits = str(abs(round(x * 10 ** places))).rjust(places + 1, "0")
+    if places:
+        digits = digits[:-places] + "." + digits[-places:]
+    return "-" + digits if x < 0 else digits
+
+
 def frac_from_str(s: str) -> Fraction:
     try:
         return Fraction(s.strip())

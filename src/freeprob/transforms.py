@@ -214,18 +214,6 @@ def s_power_relation_check(mom: RationalSequence, k: int, order: int,
     return series.puiseux_agree(s_xk, rhs, min_window)
 
 
-def rescale_to_monic(mom: RationalSequence, k: int) -> tuple:
-    """Dilation (t, m') with m'_n = t^n m_n and m'_k = 1.
-
-    Needs m_k to be a positive perfect k-th power in the rationals;
-    raises IrrationalRootError otherwise.
-    """
-    if mom[k] <= 0:
-        raise ValidationError("leading moment must be positive")
-    t = 1 / series.rational_root(mom[k], k)
-    return t, RationalSequence([t ** n * mom[n] for n in range(1, mom.order + 1)])
-
-
 # ---------------------------------------------------------------------------
 # Hankel positivity
 
@@ -352,6 +340,22 @@ class FreeVariable:
         return self.moments[e]
 
 
+def _reduce_word(word, period=None) -> tuple:
+    """Merge equal adjacent labels and drop zero exponents.  With period
+    given, an exponent of a label whose period(label) is not None counts
+    mod that period."""
+    out: list = []
+    for lab, e in word:
+        if out and out[-1][0] == lab:
+            e += out.pop()[1]
+        p = period(lab) if period else None
+        if p is not None:
+            e %= p
+        if e:
+            out.append((lab, e))
+    return tuple(out)
+
+
 class WordMomentEvaluator:
     """Evaluates phi(words) in free variables by the centering expansion.
 
@@ -366,33 +370,19 @@ class WordMomentEvaluator:
         self.vars = {v.label: v for v in variables}
         if len(self.vars) != len(variables):
             raise ValidationError("duplicate variable labels")
+        self._periods = {v.label: v.period for v in variables}
         self._memo: dict = {}
 
     def reduce(self, word) -> tuple:
-        out: list = []
+        word = tuple(word)
         for lab, e in word:
             if lab not in self.vars:
                 raise ValidationError(f"unknown variable {lab!r}")
-            v = self.vars[lab]
-            if v.period is not None:
-                e %= v.period
-            elif e < 0:
+            if e < 0 and self.vars[lab].period is None:
                 raise ValidationError(
                     f"negative power of {lab!r} needs a declared period"
                 )
-            if e == 0:
-                continue
-            out.append((lab, e))
-            while len(out) >= 2 and out[-1][0] == out[-2][0]:
-                lab2, e2 = out.pop()
-                lab1, e1 = out.pop()
-                e12 = e1 + e2
-                v = self.vars[lab1]
-                if v.period is not None:
-                    e12 %= v.period
-                if e12 != 0:
-                    out.append((lab1, e12))
-        return tuple(out)
+        return _reduce_word(word, self._periods.get)
 
     def phi(self, word) -> Fraction:
         return self._phi(self.reduce(word))
@@ -418,8 +408,8 @@ class WordMomentEvaluator:
                 if mask >> bit & 1:
                     coeff *= means[idx]
                     drop.append(idx)
-            sub = self.reduce(
-                tuple(l for i, l in enumerate(word) if i not in drop)
+            sub = _reduce_word(
+                [l for i, l in enumerate(word) if i not in drop], self._periods.get
             )
             sign = -1 if len(drop) % 2 == 0 else 1
             total += sign * coeff * self._phi(sub)
@@ -430,23 +420,6 @@ class WordMomentEvaluator:
 def free_word_moment(variables, word) -> Fraction:
     """phi of a word in free variables, e.g. [("x", 1), ("y", 2)]."""
     return WordMomentEvaluator(variables).phi(word)
-
-
-def sum_moments_by_words(var_a: FreeVariable, var_b: FreeVariable, order: int) -> RationalSequence:
-    """Moments of a+b for free a, b evaluated letter by letter; oracle
-    for cumulant additivity."""
-    ev = WordMomentEvaluator([var_a, var_b])
-    out = []
-    for n in range(1, order + 1):
-        total = Fraction(0)
-        for mask in range(1 << n):
-            word = tuple(
-                (var_a.label, 1) if mask >> i & 1 else (var_b.label, 1)
-                for i in range(n)
-            )
-            total += ev.phi(word)
-        out.append(total)
-    return RationalSequence(out)
 
 
 def freeness_moment_check(variables, a_label: str, h_word, max_letters: int) -> bool:

@@ -4,10 +4,14 @@ Each one computes a value the library also computes, along a route the
 library does not take, so the tests can hold the two against each other.
 """
 
-from freeprob import ncpart
+from fractions import Fraction
+
+from freeprob import incidence, ncpart
 from freeprob import series as se
 from freeprob.errors import ValidationError
+from freeprob.sequences import RationalSequence
 from freeprob.series import PowerSeries
+from freeprob.transforms import WordMomentEvaluator
 
 
 def check_pair(a: PowerSeries, b: PowerSeries, mode: str, k: int,
@@ -67,3 +71,60 @@ def catalan_by_recurrence(n: int) -> int:
     for m in range(1, n + 1):
         cs.append(sum(cs[i] * cs[m - 1 - i] for i in range(m)))
     return cs[n]
+
+
+def conv_power_by_steps(f: RationalSequence, g: RationalSequence, order: int,
+                        t: int) -> RationalSequence:
+    """f * g^{*t} for t >= 0 as t chained convolutions; oracle for the
+    exponent of incidence.conv."""
+    f = f.prefix(order)
+    for _ in range(t):
+        f = incidence.conv(f, g, order)
+    return f
+
+
+def sum_moments_by_words(var_a, var_b, order: int) -> RationalSequence:
+    """Moments of a+b for free a, b evaluated letter by letter; oracle
+    for cumulant additivity."""
+    ev = WordMomentEvaluator([var_a, var_b])
+    out = []
+    for n in range(1, order + 1):
+        total = Fraction(0)
+        for mask in range(1 << n):
+            word = tuple(
+                (var_a.label, 1) if mask >> i & 1 else (var_b.label, 1)
+                for i in range(n)
+            )
+            total += ev.phi(word)
+        out.append(total)
+    return RationalSequence(out)
+
+
+def rescale_to_monic(mom: RationalSequence, k: int) -> tuple:
+    """Dilation (t, m') with m'_n = t^n m_n and m'_k = 1.
+
+    Needs m_k to be a positive perfect k-th power in the rationals;
+    raises IrrationalRootError otherwise.
+    """
+    if mom[k] <= 0:
+        raise ValidationError("leading moment must be positive")
+    t = 1 / se.rational_root(mom[k], k)
+    return t, RationalSequence([t ** n * mom[n] for n in range(1, mom.order + 1)])
+
+
+def cycle_lengths(perm) -> list:
+    """Cycle lengths of a KCyclePermutation, in order of each cycle's
+    smallest point."""
+    seen = [False] * perm.size
+    out = []
+    for start in range(perm.size):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = perm.mapping[x]
+            length += 1
+        out.append(length)
+    return out

@@ -8,7 +8,7 @@ from freeprob import incidence as inc
 from freeprob import ncpart as nc
 from freeprob.errors import ValidationError
 from freeprob.sequences import RationalSequence
-from oracles import catalan_by_recurrence, multichain_count_enumerated
+from oracles import catalan_by_recurrence, conv_power_by_steps, multichain_count_enumerated
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -144,6 +144,40 @@ def test_conv_on_both_leading_entries_zero():
     out = inc.conv(pair, pair, 7)
     assert out == inc.kdivisible_conv(1, pair, pair, 7)
     assert list(out) == [0] * 7 and all(isinstance(v, Fraction) for v in out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seqs(6), seqs(6), st.integers(min_value=1, max_value=6), st.booleans(), st.booleans())
+def test_conv_power_is_the_chain_of_convolutions(f, g, order, f1_zero, g1_zero):
+    f, g = _zero_led(f, f1_zero), _zero_led(g, g1_zero)
+    for t in range(5):
+        assert inc.conv(f, g, order, t) == conv_power_by_steps(f, g, order, t)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seqs(6), seqs(6), st.integers(min_value=1, max_value=6), st.booleans())
+def test_negative_conv_power_undoes_the_positive_one(f, g, order, f1_zero):
+    f = _zero_led(f, f1_zero)
+    if not g[1]:
+        return  # see test_negative_conv_power_needs_a_nonzero_leading_entry
+    for t in (1, 2, 3):
+        assert inc.conv(inc.conv(f, g, order, -t), g, order, t) == f.prefix(order)
+
+
+def test_negative_conv_power_needs_a_nonzero_leading_entry():
+    f, g = RationalSequence([1, 2, 3]), RationalSequence([0, 1, 1])
+    for t in (-1, -2):
+        with pytest.raises(ValidationError, match="a negative convolution power needs g_1 != 0"):
+            inc.conv(f, g, 3, t)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seqs(7), st.integers(min_value=1, max_value=7))
+def test_conv_with_a_zeta_power_matches_the_zeta_power_kernel(g, order):
+    # two kernels: the Nica-Speicher transform and solve_A_given_B
+    zeta = inc.zeta_family(order)
+    for k in range(-2, 4):
+        assert inc.conv(g, zeta, order, k) == inc.zeta_power_conv(g, k, order)
 
 
 def test_conv_and_the_walk_share_the_operand_order_check():

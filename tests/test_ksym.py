@@ -133,7 +133,7 @@ def test_semicircle_base_matches_poisson_power():
     for k in (2, 3, 4):
         sk = ksym.semicircle_sk(k, 6)
         power = ksym.boxtimes_power_moments(tr.free_poisson_moments(6 * (k - 1)),
-                                            k - 1, 6, route="iterated")
+                                            k - 1, 6, route="series")
         assert sk.base.prefix(6) == power
 
 
@@ -403,7 +403,27 @@ def test_boxtimes_power_trivial_and_random_routes():
     for k in (2, 3):
         mu = random_positive_moments(rnd, 4 * k)
         both = ksym.boxtimes_power_moments(mu, k, 4, route="both")
-        assert both == ksym.boxtimes_power_moments(mu, k, 4, route="iterated")
+        assert both == ksym.boxtimes_power_moments(mu, k, 4, route="series")
+
+
+def test_boxtimes_power_needs_k_at_least_one():
+    mu = tr.atomic_moments([(1, Fraction(1, 2)), (3, Fraction(1, 2))], 8)
+    for k in (0, -1):
+        for route in ("series", "enumeration", "both"):
+            with pytest.raises(ValidationError, match="k must be >= 1"):
+                ksym.boxtimes_power_moments(mu, k, 4, route=route)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6),
+       st.lists(st.tuples(positive_rationals, st.integers(min_value=1, max_value=5)),
+                min_size=1, max_size=3))
+def test_boxtimes_power_of_a_positive_law_is_a_positive_law(k, order, atoms):
+    # mu^{boxtimes k} of a law on [0, inf) is again one (Belinschi-Bercovici)
+    total = sum(w for _x, w in atoms)
+    mu = tr.atomic_moments([(x, Fraction(w, total)) for x, w in atoms], 2 * order)
+    power = ksym.boxtimes_power_moments(mu, k, order, route="series")
+    assert tr.hankel_check(power, stieltjes=True)
 
 
 def test_infdiv_identity_on_haar_jump_and_random_jump():

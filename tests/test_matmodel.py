@@ -6,12 +6,14 @@ import pytest
 
 from freeprob import matmodel as mm
 from freeprob.errors import ValidationError
+from freeprob.sequences import _decimal_str
+from oracles import cycle_lengths
 
 
 def test_k1_sampling_is_identity():
     p = mm.sample_kcycle(4, 1, 17)
     assert p.mapping == (0, 1, 2, 3)
-    assert p.cycle_lengths() == [1, 1, 1, 1]
+    assert cycle_lengths(p) == [1, 1, 1, 1]
 
 
 def test_single_choice_case():
@@ -23,7 +25,7 @@ def test_sampler_produces_only_k_cycles():
     rng = random.Random(3)
     for _ in range(50):
         p = mm.sample_kcycle(4, 3, rng)
-        assert sorted(p.cycle_lengths()) == [3, 3, 3, 3]
+        assert sorted(cycle_lengths(p)) == [3, 3, 3, 3]
 
 
 def test_sampler_uniform_over_the_three_pairings_of_four_points():
@@ -97,6 +99,16 @@ def test_experiment_report_shape_and_determinism():
     mean = Fraction(entry["empirical_mean"])
     pred = Fraction(entry["prediction"])
     assert Fraction(entry["deviation"]) == abs(mean - pred)
+
+
+def test_experiment_decimals_round_the_exact_value():
+    # through float, 1/400000 and 7/2000000 both print 0.000003
+    assert _decimal_str(Fraction(1, 400000), 6) == "0.000002"
+    assert _decimal_str(Fraction(7, 2000000), 6) == "0.000004"
+    report = mm.freeness_experiment(2, 7, 3, [[(1, 1), (2, 1)], [(1, 3)]], 3, 5)
+    for entry in report["words"]:
+        for key in ("empirical_mean", "deviation"):
+            assert entry[key + "_decimal"] == _decimal_str(Fraction(entry[key]), 6)
 
 
 def test_experiment_deviation_shrinks_with_size():

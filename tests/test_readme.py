@@ -1,6 +1,8 @@
 import importlib
+import inspect
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import freeprob
@@ -25,3 +27,23 @@ def test_every_module_name_the_readme_cites_resolves():
     missing = sorted(f"{mod}.{name}" for mod, name in cited
                      if not hasattr(modules[mod], name))
     assert len(cited) >= 16 and not missing, missing
+
+
+def test_every_public_name_is_reached_from_the_library_or_the_readme():
+    # a public function or class that only the tests call belongs in
+    # tests/oracles.py; one that is API gets named in the README
+    src = Path(freeprob.__file__).resolve().parent
+    code = "\n".join(p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py")))
+    uses = Counter(re.findall(r"\w+", code))
+    uses.subtract(re.findall(r"^(?:def|class) (\w+)", code, re.M))
+    cited = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    unreached = []
+    for info in pkgutil.iter_modules(freeprob.__path__):
+        if info.name.startswith("_"):
+            continue
+        mod = importlib.import_module(f"freeprob.{info.name}")
+        unreached += [f"{info.name}.{name}" for name, obj in vars(mod).items()
+                      if not name.startswith("_") and uses[name] <= 0 and name not in cited
+                      and (inspect.isfunction(obj) or inspect.isclass(obj))
+                      and obj.__module__ == mod.__name__]
+    assert not unreached, unreached

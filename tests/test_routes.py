@@ -112,7 +112,7 @@ ISOLATED = {
     "kdiv_power_cumulants": (lambda route: transforms.kdiv_power_cumulants(
         ZERO_LED, 3, 4, route=route), ["zeta"], ["enumeration", "two-stage"]),
     "boxtimes_power_moments": (lambda route: ksym.boxtimes_power_moments(
-        POSITIVE, 3, 2, route=route), ["iterated"], []),
+        POSITIVE, 3, 2, route=route), ["series"], []),
 }
 
 
@@ -140,7 +140,7 @@ def test_defaults_are_the_series_routes():
     defaults = {
         incidence.zeta_power_conv: "series",
         transforms.cumulants_to_moments: "series", transforms.moments_to_cumulants: "series",
-        transforms.kdiv_power_cumulants: "zeta", ksym.boxtimes_power_moments: "iterated",
+        transforms.kdiv_power_cumulants: "zeta", ksym.boxtimes_power_moments: "series",
     }
     for fn, route in defaults.items():
         assert inspect.signature(fn).parameters["route"].default == route

@@ -12,7 +12,7 @@ from freeprob import series as se
 from freeprob import transforms as tr
 from freeprob.errors import ValidationError
 from freeprob.sequences import RationalSequence
-from oracles import check_pair
+from oracles import check_pair, rescale_to_monic, sum_moments_by_words
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -92,7 +92,7 @@ def test_additive_convolution_matches_word_expansion():
                             (Fraction(2), Fraction(3, 4))], n)
     vx = tr.FreeVariable("x", mx)
     vy = tr.FreeVariable("y", my)
-    word_route = tr.sum_moments_by_words(vx, vy, n)
+    word_route = sum_moments_by_words(vx, vy, n)
     cum_route = tr.cumulants_to_moments(
         tr.free_add_convolve(tr.moments_to_cumulants(mx, n),
                              tr.moments_to_cumulants(my, n)), n
@@ -338,10 +338,10 @@ def test_s_power_relation_sizes_its_factor_from_the_window(k, min_window, lead_z
 
 def test_rescale_to_monic():
     m = RationalSequence([0, Fraction(9, 4), 0, 5])
-    t, scaled = tr.rescale_to_monic(m, 2)
+    t, scaled = rescale_to_monic(m, 2)
     assert scaled[2] == 1 and t == Fraction(2, 3)
     with pytest.raises(ValidationError):
-        tr.rescale_to_monic(RationalSequence([0, -1, 0, 1]), 2)
+        rescale_to_monic(RationalSequence([0, -1, 0, 1]), 2)
 
 
 # --- Hankel -----------------------------------------------------------------
