@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Every public operation is reachable through a two-level verb grammar
-(`freeprob nc count ...`, `freeprob transform m2c ...`).  Numeric
-output is exact rational strings by default; --decimal D adds a decimal
-rendering.  Exit codes: 0 success, 1 usage error, 2 validation error,
+A two-level verb grammar (`freeprob nc count ...`, `freeprob transform
+m2c ...`) over the partition counts, convolutions, series, transforms,
+k-symmetric laws and the matrix model.  Numeric output is exact rational
+strings.  The nine verbs that print one sequence (conv zeta-power and
+moebius; transform m2c, c2m, boxtimes and boxplus-power; ksym bessel, clt
+and poisson-limit) take --decimal D, which adds a decimal rendering, and
+--format csv; `nc enumerate` takes --format csv.  No other verb takes
+either flag.  Exit codes: 0 success, 1 usage error, 2 validation error,
 3 resource limit.  Identical argv (and seed) produce byte-identical
 output.
 """
@@ -43,6 +47,10 @@ def _read_json(path: str):
 
 def _load_sequence(path: str) -> RationalSequence:
     return RationalSequence.from_json(_read_json(path))
+
+
+def _load_law(path: str) -> KSymmetricDistribution:
+    return KSymmetricDistribution.from_json(_read_json(path))
 
 
 def _load_variables(path: str) -> list:
@@ -87,303 +95,232 @@ def _order(args, full: int) -> int:
     return full if args.order is None else args.order
 
 
-def _emit(args, payload, csv_rows=None) -> None:
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
-        header, rows = csv_rows
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(c) for c in row))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+def _print_json(payload) -> None:
+    print(json.dumps(payload, sort_keys=True))
 
 
-def _seq_payload(args, seq: RationalSequence, name: str = "values"):
-    payload: dict = {name: seq.to_json()}
-    dec = getattr(args, "decimal", None)
-    if dec is not None:
-        payload[name + "_decimal"] = [_decimal_str(v, dec) for v in seq]
-    header = ["n", name]
-    rows = [(n, frac_to_str(seq[n])) for n in range(1, seq.order + 1)]
-    return payload, (header, rows)
+def _print_sequence(args, name: str, seq: RationalSequence) -> None:
+    """JSON {name: [...]}, plus name_decimal under --decimal, or CSV rows n,name."""
+    if args.format == "csv":
+        print(f"n,{name}")
+        for n in range(1, seq.order + 1):
+            print(f"{n},{frac_to_str(seq[n])}")
+        return
+    payload = {name: seq.to_json()}
+    if args.decimal is not None:
+        payload[name + "_decimal"] = [_decimal_str(v, args.decimal) for v in seq]
+    _print_json(payload)
 
 
-def _series_payload(args, s):
+def _print_series(s) -> None:
     # plain power series are bare coefficient arrays c_0..c_N; Puiseux
     # series carry their ramification and lowest exponent
+    coeffs = [frac_to_str(c) for c in s.coeffs]
     if isinstance(s, PuiseuxSeries):
-        return {
-            "ramification": s.ram,
-            "lo": s.lo,
-            "coeffs": [frac_to_str(c) for c in s.coeffs],
-        }
-    return [frac_to_str(c) for c in s.coeffs]
+        _print_json({"ramification": s.ram, "lo": s.lo, "coeffs": coeffs})
+    else:
+        _print_json(coeffs)
 
 
 # ---------------------------------------------------------------------------
-# verb handlers
+# verbs: each is declared once, by @_verb on its handler, with every option
+# it takes; build_parser() adds the groups and verbs in declaration order
 
 
-def _nc(args) -> None:
-    if args.verb == "count":
-        if args.kind == "nc":
-            value = ncpart.catalan(args.n)
-        elif args.kind == "kdivisible":
-            value = ncpart.fuss_catalan_kdivisible(args.k, args.n)
-        elif args.kind == "kequal":
-            value = ncpart.count_kequal(args.k, args.n)
-        elif args.kind == "multichains":
-            value = ncpart.count_multichains(args.k, args.n)
-        else:
-            raise ValidationError(f"unknown kind {args.kind!r}")
-        print(value)
-    elif args.verb == "enumerate":
-        if args.kind == "nc":
-            parts = ncpart.enumerate_nc(args.n, args.max_n)
-        elif args.kind == "kdivisible":
-            parts = ncpart.enumerate_kdivisible(args.k, args.n, args.max_n)
-        elif args.kind == "kequal":
-            parts = ncpart.enumerate_kequal(args.k, args.n, args.max_n)
-        else:
-            raise ValidationError(f"unknown kind {args.kind!r}")
-        texts = [ncpart.format_partition(p) for p in parts]
-        _emit(args, {"count": len(texts), "partitions": texts},
-              (["partition"], [(t,) for t in texts]))
-    elif args.verb == "kreweras":
-        p = ncpart.parse_partition(args.partition)
-        print(ncpart.format_partition(ncpart.kreweras(p)))
+_VERBS = []
 
 
-def _conv(args) -> None:
-    if args.verb == "zeta-power":
-        seq = _load_sequence(args.infile)
-        out = incidence.zeta_power_conv(seq, args.k, _order(args, seq.order))
-        payload, rows = _seq_payload(args, out)
-        _emit(args, payload, rows)
-    elif args.verb == "moebius":
-        out = incidence.moebius_family(args.order)
-        payload, rows = _seq_payload(args, out)
-        _emit(args, payload, rows)
+def _verb(group: str, name: str, *options):
+    def declare(handler):
+        _VERBS.append((group, name, options, handler))
+        return handler
+    return declare
 
 
-def _series_cmd(args) -> None:
-    p = PowerSeries(_load_sequence(args.infile).values)
-    if args.verb == "invert":
-        if args.frac and args.frac > 1:
-            out = series.frac_inverse(p, args.frac)
-        else:
-            out = series.comp_inverse(p)
-        _emit(args, _series_payload(args, out))
-    elif args.verb == "solve-fe":
-        out = series.solve_A_given_B(p, args.k, _order(args, p.order))
-        _emit(args, _series_payload(args, out))
+_IN = ("--in", dict(dest="infile", required=True))
+_K = ("--k", dict(type=int, required=True))
+_K_OR_1 = ("--k", dict(type=int, default=1))
+_N = ("--n", dict(type=int, required=True))
+_ORDER = ("--order", dict(type=int, required=True))
+_UP_TO = ("--order", dict(type=int))  # default: the input's full order
+_RATE = ("--rate", dict(required=True))
+_JUMP = ("--jump", dict(required=True, help="JSON file of the jump law"))
+_SAMPLES = ("--n-samples", dict(type=int, required=True))
+_FORMAT = ("--format", dict(choices=["json", "csv"], default="json"))
+_SEQUENCE_OUTPUT = (_FORMAT, ("--decimal", dict(
+    type=int, help="also render values with this many decimals")))
+
+# --kind of `nc count` (k, n) and `nc enumerate` (k, n, max_n); the ncpart
+# names are looked up at call time, so a wrapped module function is the one run
+_COUNTS = {
+    "nc": lambda k, n: ncpart.catalan(n),
+    "kdivisible": lambda k, n: ncpart.fuss_catalan_kdivisible(k, n),
+    "kequal": lambda k, n: ncpart.count_kequal(k, n),
+    "multichains": lambda k, n: ncpart.count_multichains(k, n),
+}
+_ENUMERATIONS = {
+    "nc": lambda k, n, max_n: ncpart.enumerate_nc(n, max_n),
+    "kdivisible": lambda k, n, max_n: ncpart.enumerate_kdivisible(k, n, max_n),
+    "kequal": lambda k, n, max_n: ncpart.enumerate_kequal(k, n, max_n),
+}
 
 
-def _transform(args) -> None:
-    if args.verb == "m2c":
-        seq = _load_sequence(args.infile)
-        out = transforms.moments_to_cumulants(seq, _order(args, seq.order))
-        payload, rows = _seq_payload(args, out, "cumulants")
-    elif args.verb == "c2m":
-        seq = _load_sequence(args.infile)
-        out = transforms.cumulants_to_moments(seq, _order(args, seq.order))
-        payload, rows = _seq_payload(args, out, "moments")
-    elif args.verb == "boxtimes":
-        a = _load_sequence(args.a)
-        b = _load_sequence(args.b)
-        out = transforms.free_mult_convolve(a, b, _order(args, min(a.order, b.order)))
-        payload, rows = _seq_payload(args, out, "cumulants")
-    elif args.verb == "boxplus-power":
-        seq = _load_sequence(args.infile)
-        out = transforms.free_add_power(seq, args.t)
-        payload, rows = _seq_payload(args, out, "cumulants")
-    elif args.verb == "s-transform":
-        seq = _load_sequence(args.infile)
-        out = transforms.s_transform(seq, _order(args, seq.order))
-        _emit(args, _series_payload(args, out))
-        return
-    elif args.verb == "word-moment":
-        variables = _load_variables(args.vars)
-        word = []
-        for chunk in args.word.split(","):
-            try:
-                lab, exp = chunk.rsplit(":", 1)
-                word.append((lab, int(exp)))
-            except ValueError:
-                raise ValidationError(f"malformed word letter {chunk!r}") from None
-        val = transforms.free_word_moment(variables, word)
-        print(json.dumps({"moment": frac_to_str(val)}, sort_keys=True))
-        return
+@_verb("nc", "count", ("--kind", dict(default="nc", choices=_COUNTS)), _N, _K_OR_1)
+def _nc_count(args) -> None:
+    print(_COUNTS[args.kind](args.k, args.n))
+
+
+@_verb("nc", "enumerate", ("--kind", dict(default="nc", choices=_ENUMERATIONS)), _N, _K_OR_1,
+       ("--max-n", dict(type=int)), _FORMAT)
+def _nc_enumerate(args) -> None:
+    texts = [ncpart.format_partition(p)
+             for p in _ENUMERATIONS[args.kind](args.k, args.n, args.max_n)]
+    if args.format == "csv":
+        print("\n".join(["partition"] + texts))
     else:
-        raise ValidationError(f"unknown transform verb {args.verb!r}")
-    _emit(args, payload, rows)
+        _print_json({"count": len(texts), "partitions": texts})
 
 
-def _ksym(args) -> None:
-    if args.verb == "semicircle":
-        d = ksym.semicircle_sk(args.k, args.order)
-        _emit(args, d.to_json())
-    elif args.verb == "bessel":
-        out = ksym.compound_poisson(
-            args.k, 1, ksym.haar_unitary_law(args.k, args.order), args.order
-        )
-        seq = out.base
-        payload, rows = _seq_payload(args, seq, "moments")
-        _emit(args, payload, rows)
-    elif args.verb == "compound-poisson":
-        jump = KSymmetricDistribution.from_json(_read_json(args.jump))
-        d = ksym.compound_poisson(args.k, args.rate, jump, args.order)
-        _emit(args, d.to_json())
-    elif args.verb == "clt":
-        d = KSymmetricDistribution.from_json(_read_json(args.infile))
-        out = ksym.clt_scaled_cumulants(d, args.n_samples, args.order)
-        payload, rows = _seq_payload(args, out, "cumulants")
-        _emit(args, payload, rows)
-    elif args.verb == "poisson-limit":
-        jump = KSymmetricDistribution.from_json(_read_json(args.jump))
-        out = ksym.poisson_limit_gap(args.k, args.rate, jump,
-                                     args.n_samples, args.order)
-        payload, rows = _seq_payload(args, out, "gaps")
-        _emit(args, payload, rows)
-    elif args.verb == "stable-check":
-        ok = ksym.stable_reproducing_check(args.k, args.t, args.s)
-        lhs = ksym.stable_monomial_mul(
-            ksym.ksym_stable_monomial(args.k, args.t),
-            ksym.positive_stable_monomial(1 / (1 + args.s)),
-        )
-        print(json.dumps({"holds": ok, "product": lhs.to_json()}, sort_keys=True))
+@_verb("nc", "kreweras", ("--partition", dict(required=True, help="text form, e.g. {1,2}{3,4}")))
+def _nc_kreweras(args) -> None:
+    print(ncpart.format_partition(ncpart.kreweras(ncpart.parse_partition(args.partition))))
 
 
-def _matmodel(args) -> None:
-    words = [matmodel.parse_word(w) for w in args.word]
-    report = matmodel.freeness_experiment(
-        args.r, args.N, args.k, words, args.trials, args.seed
+@_verb("conv", "zeta-power", _IN, _K, _UP_TO, *_SEQUENCE_OUTPUT)
+def _zeta_power(args) -> None:
+    seq = _load_sequence(args.infile)
+    _print_sequence(args, "values",
+                    incidence.zeta_power_conv(seq, args.k, _order(args, seq.order)))
+
+
+@_verb("conv", "moebius", _ORDER, *_SEQUENCE_OUTPUT)
+def _moebius(args) -> None:
+    _print_sequence(args, "values", incidence.moebius_family(args.order))
+
+
+@_verb("series", "invert", _IN, ("--frac", dict(
+    type=int, help="fractional-power inverse with this ramification")))
+def _invert(args) -> None:
+    p = PowerSeries(_load_sequence(args.infile).values)
+    if args.frac and args.frac > 1:
+        _print_series(series.frac_inverse(p, args.frac))
+    else:
+        _print_series(series.comp_inverse(p))
+
+
+@_verb("series", "solve-fe", _IN, _K, _UP_TO)
+def _solve_fe(args) -> None:
+    p = PowerSeries(_load_sequence(args.infile).values)
+    _print_series(series.solve_A_given_B(p, args.k, _order(args, p.order)))
+
+
+@_verb("transform", "m2c", _IN, _UP_TO, *_SEQUENCE_OUTPUT)
+def _m2c(args) -> None:
+    seq = _load_sequence(args.infile)
+    _print_sequence(args, "cumulants",
+                    transforms.moments_to_cumulants(seq, _order(args, seq.order)))
+
+
+@_verb("transform", "c2m", _IN, _UP_TO, *_SEQUENCE_OUTPUT)
+def _c2m(args) -> None:
+    seq = _load_sequence(args.infile)
+    _print_sequence(args, "moments",
+                    transforms.cumulants_to_moments(seq, _order(args, seq.order)))
+
+
+@_verb("transform", "boxtimes", ("--a", dict(required=True)), ("--b", dict(required=True)),
+       _UP_TO, *_SEQUENCE_OUTPUT)
+def _boxtimes(args) -> None:
+    a, b = _load_sequence(args.a), _load_sequence(args.b)
+    _print_sequence(args, "cumulants",
+                    transforms.free_mult_convolve(a, b, _order(args, min(a.order, b.order))))
+
+
+@_verb("transform", "boxplus-power", _IN, ("--t", dict(required=True)), *_SEQUENCE_OUTPUT)
+def _boxplus_power(args) -> None:
+    _print_sequence(args, "cumulants",
+                    transforms.free_add_power(_load_sequence(args.infile), args.t))
+
+
+@_verb("transform", "s-transform", _IN, _UP_TO)
+def _s_transform(args) -> None:
+    seq = _load_sequence(args.infile)
+    _print_series(transforms.s_transform(seq, _order(args, seq.order)))
+
+
+@_verb("transform", "word-moment", ("--vars", dict(required=True, help="JSON file of variables")),
+       ("--word", dict(required=True, help="label:exp,label:exp,...")))
+def _word_moment(args) -> None:
+    variables = _load_variables(args.vars)
+    word = matmodel.parse_word(args.word, label=str)
+    _print_json({"moment": frac_to_str(transforms.free_word_moment(variables, word))})
+
+
+@_verb("ksym", "semicircle", _K, _ORDER)
+def _semicircle(args) -> None:
+    _print_json(ksym.semicircle_sk(args.k, args.order).to_json())
+
+
+@_verb("ksym", "bessel", _K, _ORDER, *_SEQUENCE_OUTPUT)
+def _bessel(args) -> None:
+    haar = ksym.haar_unitary_law(args.k, args.order)
+    _print_sequence(args, "moments", ksym.compound_poisson(args.k, 1, haar, args.order).base)
+
+
+@_verb("ksym", "compound-poisson", _K, _RATE, _JUMP, _ORDER)
+def _compound_poisson(args) -> None:
+    jump = _load_law(args.jump)
+    _print_json(ksym.compound_poisson(args.k, args.rate, jump, args.order).to_json())
+
+
+@_verb("ksym", "clt", _IN, _SAMPLES, _ORDER, *_SEQUENCE_OUTPUT)
+def _clt(args) -> None:
+    law = _load_law(args.infile)
+    _print_sequence(args, "cumulants", ksym.clt_scaled_cumulants(law, args.n_samples, args.order))
+
+
+@_verb("ksym", "poisson-limit", _K, _RATE, _JUMP, _SAMPLES, _ORDER, *_SEQUENCE_OUTPUT)
+def _poisson_limit(args) -> None:
+    jump = _load_law(args.jump)
+    _print_sequence(args, "gaps", ksym.poisson_limit_gap(args.k, args.rate, jump,
+                                                         args.n_samples, args.order))
+
+
+@_verb("ksym", "stable-check", _K, ("--t", dict(required=True)), ("--s", dict(required=True)))
+def _stable_check(args) -> None:
+    # the check rejects t <= 0 and s <= 0, so it must run before 1/(1 + s)
+    ok = ksym.stable_reproducing_check(args.k, args.t, args.s)
+    lhs = ksym.stable_monomial_mul(
+        ksym.ksym_stable_monomial(args.k, args.t),
+        ksym.positive_stable_monomial(1 / (1 + args.s)),
     )
-    print(json.dumps(report, sort_keys=True))
+    _print_json({"holds": ok, "product": lhs.to_json()})
+
+
+@_verb("matmodel", "run", ("--r", dict(type=int, required=True)),
+       ("--N", dict(type=int, required=True)), _K,
+       ("--word", dict(action="append", required=True,
+                       help="index:exp,index:exp,... (repeatable)")),
+       ("--trials", dict(type=int, required=True)), ("--seed", dict(type=int, required=True)),
+       ("--output", dict(choices=["json"], default="json")))
+def _matmodel_run(args) -> None:
+    words = [matmodel.normalize_word(matmodel.parse_word(w)) for w in args.word]
+    _print_json(matmodel.freeness_experiment(args.r, args.N, args.k, words, args.trials,
+                                             args.seed))
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="freeprob", description=__doc__)
-    sub = top.add_subparsers(dest="group", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--decimal", type=int, default=None,
-                       help="also render values with this many decimals")
-
-    nc = sub.add_parser("nc").add_subparsers(dest="verb", required=True)
-    p = nc.add_parser("count")
-    p.add_argument("--kind", default="nc",
-                   choices=["nc", "kdivisible", "kequal", "multichains"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p = nc.add_parser("enumerate")
-    p.add_argument("--kind", default="nc", choices=["nc", "kdivisible", "kequal"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
-    add_common(p)
-    p = nc.add_parser("kreweras")
-    p.add_argument("--partition", required=True, help="text form, e.g. {1,2}{3,4}")
-
-    conv = sub.add_parser("conv").add_subparsers(dest="verb", required=True)
-    p = conv.add_parser("zeta-power")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=None)
-    add_common(p)
-    p = conv.add_parser("moebius")
-    p.add_argument("--order", type=int, required=True)
-    add_common(p)
-
-    ser = sub.add_parser("series").add_subparsers(dest="verb", required=True)
-    p = ser.add_parser("invert")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--frac", type=int, default=None,
-                   help="fractional-power inverse with this ramification")
-    add_common(p)
-    p = ser.add_parser("solve-fe")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=None)
-    add_common(p)
-
-    tra = sub.add_parser("transform").add_subparsers(dest="verb", required=True)
-    for verb in ("m2c", "c2m"):
-        p = tra.add_parser(verb)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--order", type=int, default=None)
-        add_common(p)
-    p = tra.add_parser("boxtimes")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--order", type=int, default=None)
-    add_common(p)
-    p = tra.add_parser("boxplus-power")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--t", required=True)
-    add_common(p)
-    p = tra.add_parser("s-transform")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--order", type=int, default=None)
-    add_common(p)
-    p = tra.add_parser("word-moment")
-    p.add_argument("--vars", required=True, help="JSON file of variables")
-    p.add_argument("--word", required=True, help="label:exp,label:exp,...")
-
-    ks = sub.add_parser("ksym").add_subparsers(dest="verb", required=True)
-    p = ks.add_parser("semicircle")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    add_common(p)
-    p = ks.add_parser("bessel")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    add_common(p)
-    p = ks.add_parser("compound-poisson")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--rate", dest="rate", required=True)
-    p.add_argument("--jump", required=True, help="JSON file of the jump law")
-    p.add_argument("--order", type=int, required=True)
-    add_common(p)
-    p = ks.add_parser("clt")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n-samples", dest="n_samples", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    add_common(p)
-    p = ks.add_parser("poisson-limit")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--rate", required=True)
-    p.add_argument("--jump", required=True)
-    p.add_argument("--n-samples", dest="n_samples", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    add_common(p)
-    p = ks.add_parser("stable-check")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--s", required=True)
-
-    mm = sub.add_parser("matmodel").add_subparsers(dest="verb", required=True)
-    p = mm.add_parser("run")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--word", action="append", required=True,
-                   help="index:exp,index:exp,... (repeatable)")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", choices=["json"], default="json")
-
+    groups = top.add_subparsers(dest="group", required=True)
+    verbs = {}
+    for group, name, options, handler in _VERBS:
+        if group not in verbs:
+            verbs[group] = groups.add_parser(group).add_subparsers(dest="verb", required=True)
+        p = verbs[group].add_parser(name)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return top
-
-
-_HANDLERS = {
-    "nc": _nc,
-    "conv": _conv,
-    "series": _series_cmd,
-    "transform": _transform,
-    "ksym": _ksym,
-    "matmodel": _matmodel,
-}
 
 
 def run(argv) -> int:
@@ -391,7 +328,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         _check_args(args)
-        _HANDLERS[args.group](args)
+        args.handler(args)
         return 0
     except UsageError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "usage"}) + "\n")

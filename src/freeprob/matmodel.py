@@ -53,16 +53,20 @@ def sample_kcycle(n_cycles: int, k: int, rng) -> KCyclePermutation:
     return KCyclePermutation(n_cycles, k, tuple(mapping))
 
 
-def parse_word(text: str) -> tuple:
-    """Parse "1:1,2:1,1:-1,2:-1" into ((1,1),(2,1),(1,-1),(2,-1))."""
+def parse_word(text: str, label=int) -> tuple:
+    """Parse "1:1,2:1,1:-1,2:-1" into ((1,1),(2,1),(1,-1),(2,-1)).
+
+    label reads each letter's name: int for matrix indices, str for the
+    labels of transforms.free_word_moment.  Letters are not merged or
+    range-checked; normalize_word does that for matrix words."""
     letters = []
     for chunk in text.split(","):
         try:
-            idx, exp = chunk.split(":")
-            letters.append((int(idx), int(exp)))
+            name, exp = chunk.split(":")
+            letters.append((label(name), int(exp)))
         except ValueError as exc:
             raise ValidationError(f"malformed word letter {chunk!r}") from exc
-    return normalize_word(letters)
+    return tuple(letters)
 
 
 def normalize_word(letters) -> tuple:

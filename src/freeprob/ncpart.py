@@ -356,7 +356,7 @@ def format_partition(p: Partition) -> str:
     return "".join("{" + ",".join(str(x) for x in b) + "}" for b in p.blocks)
 
 
-def parse_partition(text: str, noncrossing: bool = True) -> Partition:
+def parse_partition(text: str) -> NCPartition:
     text = text.strip()
     if not text or text[0] != "{" or text[-1] != "}":
         raise ValidationError(f"malformed partition text: {text!r}")
@@ -366,6 +366,4 @@ def parse_partition(text: str, noncrossing: bool = True) -> Partition:
             blocks.append(tuple(int(x) for x in chunk.split(",")))
         except ValueError as exc:
             raise ValidationError(f"malformed block {chunk!r}") from exc
-    n = max(max(b) for b in blocks)
-    cls = NCPartition if noncrossing else Partition
-    return cls(n, blocks)
+    return NCPartition(max(max(b) for b in blocks), blocks)

@@ -405,6 +405,96 @@ def test_series_file_reads_like_a_sequence_file(tmp_path, capsys):
     assert _validation_error(capsys, "series", "invert", "--in", str(strs))
 
 
+@pytest.mark.parametrize("flag,value", [("--s", "-1"), ("--s", "0"), ("--t", "0")])
+def test_stable_check_validates_before_it_divides(capsys, flag, value):
+    # the printed product holds 1/(1 + s), so s = -1 must be refused first
+    options = {"--k": "2", "--t": "1", "--s": "1/2", flag: value}
+    argv = [x for option in options.items() for x in option]
+    assert _validation_error(capsys, "ksym", "stable-check", *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["matmodel", "run", "--r", "2", "--N", "4", "--k", "2", "--trials", "1", "--seed", "0",
+     "--word"],
+    ["transform", "word-moment", "--vars", "{vars}", "--word"],
+], ids=["matmodel-run", "word-moment"])
+@pytest.mark.parametrize("word,letter", [
+    ("1:x", "1:x"), ("x", "x"), ("1:2:3", "1:2:3"), ("", ""), ("1:1,2", "2")])
+def test_both_word_options_refuse_the_same_letters(tmp_path, capsys, argv, word, letter):
+    vars_file = tmp_path / "vars.json"
+    vars_file.write_text(json.dumps([{"label": "1", "moments": ["1/1"]}]))
+    code, out, err = run_cli(capsys, *(a.format(vars=vars_file) for a in argv), word)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"malformed word letter {letter!r}",
+                               "kind": "validation"}
+
+
+# the verbs that print one sequence, with its JSON key, and the verbs that
+# print anything else; only the first take --format and --decimal
+SEQUENCE_VERBS = [
+    (["conv", "zeta-power", "--in", "{seq}", "--k", "2"], "values"),
+    (["conv", "moebius", "--order", "3"], "values"),
+    (["transform", "m2c", "--in", "{seq}"], "cumulants"),
+    (["transform", "c2m", "--in", "{seq}"], "moments"),
+    (["transform", "boxtimes", "--a", "{seq}", "--b", "{seq}"], "cumulants"),
+    (["transform", "boxplus-power", "--in", "{seq}", "--t", "2"], "cumulants"),
+    (["ksym", "bessel", "--k", "2", "--order", "3"], "moments"),
+    (["ksym", "clt", "--in", "{law}", "--n-samples", "4", "--order", "3"], "cumulants"),
+    (["ksym", "poisson-limit", "--k", "2", "--rate", "1", "--jump", "{law}",
+      "--n-samples", "8", "--order", "3"], "gaps"),
+]
+OTHER_VERBS = [
+    ["series", "invert", "--in", "{series}"],
+    ["series", "solve-fe", "--in", "{seq}", "--k", "2"],
+    ["transform", "s-transform", "--in", "{seq}"],
+    ["ksym", "semicircle", "--k", "2", "--order", "3"],
+    ["ksym", "compound-poisson", "--k", "2", "--rate", "1", "--jump", "{law}", "--order", "3"],
+]
+
+
+def _verb_files(tmp_path) -> dict:
+    files = {"seq": ["1/1", "2/1", "5/1"], "series": ["0/1", "1/1", "1/1"],
+             "law": {"k": 2, "base": ["1/1", "2/1", "5/1"], "valid": True}}
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, payload in files.items():
+        paths[name].write_text(json.dumps(payload))
+    return paths
+
+
+@pytest.mark.parametrize("argv,name", SEQUENCE_VERBS,
+                         ids=[" ".join(argv[:2]) for argv, _ in SEQUENCE_VERBS])
+def test_sequence_verbs_take_format_and_decimal(tmp_path, capsys, argv, name):
+    argv = [a.format(**_verb_files(tmp_path)) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    values = json.loads(out)[name]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [f"n,{name}"] + [f"{n},{v}" for n, v in enumerate(values, 1)]
+    code, out, err = run_cli(capsys, *argv, "--decimal", "2")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data.keys() == {name, name + "_decimal"} and data[name] == values
+    assert len(data[name + "_decimal"]) == len(values)
+
+
+REFUSED = [(argv, extra) for argv in OTHER_VERBS
+           for extra in (["--format", "csv"], ["--format", "json"], ["--decimal", "2"])]
+REFUSED.append((["nc", "enumerate", "--n", "3"], ["--decimal", "2"]))
+
+
+@pytest.mark.parametrize("argv,extra", REFUSED,
+                         ids=[" ".join(argv[:2] + extra) for argv, extra in REFUSED])
+def test_other_verbs_refuse_format_and_decimal(tmp_path, capsys, argv, extra):
+    argv = [a.format(**_verb_files(tmp_path)) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": f"unrecognized arguments: {' '.join(extra)}",
+                               "kind": "usage"}
+
+
 # ---------------------------------------------------------------------------
 # argv fuzzing: every verb, small and out-of-range integers, junk rationals,
 # valid and malformed JSON files.  Sizes stay small (order, n <= 8, k * n <= 8

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -465,5 +466,13 @@ def test_random_partition_canonical_roundtrip(n, rnd):
         blocks.append(tuple(labels[prev:c]))
         prev = c
     p = nc.Partition(n, blocks)
-    assert nc.parse_partition(nc.format_partition(p), noncrossing=False) == p
+    text = nc.format_partition(p)
+    if nc.is_noncrossing(p):
+        assert nc.parse_partition(text) == p
+    else:
+        # the parser builds only non-crossing partitions; its refusal
+        # prints the blocks it read
+        refusal = re.escape(f"partition is crossing: {text}") + "$"
+        with pytest.raises(ValidationError, match=refusal):
+            nc.parse_partition(text)
     assert all(p.blocks[i][0] < p.blocks[i + 1][0] for i in range(len(p.blocks) - 1))

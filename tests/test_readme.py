@@ -2,10 +2,12 @@ import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
 import freeprob
+from freeprob import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,6 +18,21 @@ def test_library_tour_runs():
     tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```", text, re.S | re.M)
     assert tour, "README has no Library tour python block"
     exec(compile(tour.group(1), str(README), "exec"), {})
+
+
+def test_every_cli_example_parses():
+    # a README example that still passes a removed flag or verb fails here
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", text, re.S | re.M)
+    assert block, "README has no CLI sh block"
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line, comments=True) for line in lines if line.startswith("freeprob ")]
+    assert len(examples) >= 20
+    for argv in examples:
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except cli.UsageError as exc:
+            raise AssertionError(f"{shlex.join(argv)}: {exc}") from None
 
 
 def test_every_module_name_the_readme_cites_resolves():
