@@ -5,8 +5,8 @@ m2c ...`) over the partition counts, convolutions, series, transforms,
 k-symmetric laws and the matrix model.  Numeric output is exact rational
 strings.  The nine verbs that print one sequence (conv zeta-power and
 moebius; transform m2c, c2m, boxtimes and boxplus-power; ksym bessel, clt
-and poisson-limit) take --decimal D, which adds a decimal rendering, and
---format csv; `nc enumerate` takes --format csv.  No other verb takes
+and poisson-limit) take --decimal D (a decimal rendering) or --format
+csv, not both; `nc enumerate` takes --format csv.  No other verb takes
 either flag.  Exit codes: 0 success, 1 usage error, 2 validation error,
 3 resource limit.  Identical argv (and seed) produce byte-identical
 output.
@@ -301,8 +301,7 @@ def _stable_check(args) -> None:
        ("--N", dict(type=int, required=True)), _K,
        ("--word", dict(action="append", required=True,
                        help="index:exp,index:exp,... (repeatable)")),
-       ("--trials", dict(type=int, required=True)), ("--seed", dict(type=int, required=True)),
-       ("--output", dict(choices=["json"], default="json")))
+       ("--trials", dict(type=int, required=True)), ("--seed", dict(type=int, required=True)))
 def _matmodel_run(args) -> None:
     words = [matmodel.normalize_word(matmodel.parse_word(w)) for w in args.word]
     _print_json(matmodel.freeness_experiment(args.r, args.N, args.k, words, args.trials,
@@ -327,6 +326,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "decimal", None) is not None and args.format == "csv":
+            raise UsageError("argument --decimal: not allowed with argument --format csv")
         _check_args(args)
         args.handler(args)
         return 0

@@ -14,11 +14,12 @@ any integer t, one Lagrange inversion since F(g^{*t}) = F(g)^t, even
 when a leading entry is zero; a zeta power g * zeta^k is the A with
 A = B(z A^k), B = 1 + g(z).  Both cost polynomial time.
 
-The walk is the test oracle.  It never walks NC(n) twice: a per-n
-histogram keyed by the pair (block sizes of pi, block sizes of Kr(pi))
-is built once by enumeration and cached, collapsing the Catalan-sized
-sum to a sum over partition-type pairs with integer multiplicities.
-Only `kdivisible_conv`, the convolution in the lattice of k-divisible
+The walk is the test oracle.  It never walks NC(n): a per-n histogram
+keyed by the pair (block sizes of pi, block sizes of Kr(pi)) is built
+once from its closed form and cached (enumerating NC^k(n) is the tests'
+oracle for it), collapsing the Catalan-sized sum to a sum over
+partition-type pairs with integer multiplicities.  Only
+`kdivisible_conv`, the convolution in the lattice of k-divisible
 partitions, reads these histograms; its k = 1 case is the walk for
 `conv`.  FREEPROB_MAX_N bounds only these walks, through the
 enumeration budget of `ncpart`.  `ksym` builds every k-symmetric law
@@ -31,45 +32,58 @@ and a negative power walks with the Moebius family in place of zeta.
 
 from __future__ import annotations
 
-import threading
+from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 from . import ncpart, series
 from .errors import ValidationError, run_route
-from .ncpart import kreweras
 from .sequences import RationalSequence
 from .series import PowerSeries
 
-_stats_lock = threading.Lock()
 _pair_stats: dict = {}
 
 
-def _sizes(blocks) -> tuple:
-    return tuple(sorted((len(b) for b in blocks), reverse=True))
+def _types(total: int, parts: int):
+    # partitions of total into at most `parts` parts, non-increasing, by a stack
+    stack = [((), total, total)]
+    while stack:
+        head, rest, top = stack.pop()
+        if not rest:
+            yield head
+        elif len(head) < parts:
+            stack.extend((head + (s,), rest - s, s) for s in range(1, min(rest, top) + 1))
+
+
+def _aut(sizes: tuple) -> int:
+    return prod(factorial(c) for c in Counter(sizes).values())
 
 
 def kdivisible_pair_stats(k: int, n: int) -> dict:
     """Histogram {(sizes(pi), sizes(Kr(pi))): count} over the k-divisible
-    non-crossing partitions of [kn] (all of NC(n) when k = 1).
+    non-crossing partitions of [N], N = kn (all of NC(n) when k = 1).
 
-    Built once by enumeration and cached; read only by kdivisible_conv,
-    so every convolution-type sum in this package is a walk over these
-    partition-type pairs with integer multiplicities.
+    Cached, read only by kdivisible_conv, and built from the closed form
+    N (l(lam)-1)! (l(mu)-1)! / (Aut lam Aut mu) for l(lam) + l(mu) = N + 1
+    (Goulden-Jackson): lam is k times a partition of n, mu - 1 is a
+    partition of l(lam) - 1.  Enumeration is only the test oracle.
     """
     hit = _pair_stats.get((k, n))
     if hit is not None:
         return hit
-    with _stats_lock:
-        hit = _pair_stats.get((k, n))
-        if hit is not None:
-            return hit
-        hist: dict = {}
-        for blocks in ncpart.iter_kdivisible_blocks(k, n):
-            key = (_sizes(blocks), _sizes(kreweras(ncpart._wrap(k * n, blocks)).blocks))
-            hist[key] = hist.get(key, 0) + 1
-        _pair_stats[(k, n)] = hist
-        return hist
+    if k < 1 or n < 1:
+        raise ValidationError("k and n must be >= 1")
+    ncpart._check_budget(n, lambda: ncpart.fuss_catalan_kdivisible(k, n), None, f"NC^{k}({n})")
+    hist = {}
+    for nu in _types(n, n):
+        lam = tuple(k * s for s in nu)
+        blocks = k * n + 1 - len(lam)  # of Kr(pi)
+        top, aut = k * n * factorial(len(lam) - 1) * factorial(blocks - 1), _aut(lam)
+        for rho in _types(len(lam) - 1, blocks):
+            mu = tuple(s + 1 for s in rho) + (1,) * (blocks - len(rho))
+            hist[lam, mu] = top // (aut * _aut(mu))
+    _pair_stats[(k, n)] = hist
+    return hist
 
 
 def extend(a: RationalSequence, p: ncpart.Partition) -> Fraction:
@@ -192,8 +206,8 @@ def zeta_power_conv(g: RationalSequence, k: int, order: int,
 
     Three routes are available and must agree: "series" solves
     A = B(z A^k) for A = 1 + (g * zeta^k)(z) with B = 1 + g(z),
-    "iterated" convolves |k| times at order n by enumeration, "dilated"
-    convolves the |k|-dilated sequence once at order |k|n by enumeration
+    "iterated" convolves |k| times at order n by the walk, "dilated"
+    convolves the |k|-dilated sequence once at order |k|n by the walk
     and undilates.  Both walks convolve with zeta, or with the Moebius
     family when k < 0: dilate(g * zeta^k) = dilate(g) * zeta.
     """

@@ -65,6 +65,18 @@ def multichain_count_enumerated(length: int, n: int) -> int:
     return sum(ways)
 
 
+def pair_stats_by_enumeration(k: int, n: int) -> dict:
+    """{(sizes(pi), sizes(Kr(pi))): count} over NC^k(n), partition by
+    partition; oracle for the closed form of incidence.kdivisible_pair_stats."""
+    def sizes(blocks):
+        return tuple(sorted((len(b) for b in blocks), reverse=True))
+    hist: dict = {}
+    for p in ncpart.iter_kdivisible(k, n):
+        key = (sizes(p.blocks), sizes(ncpart.kreweras(p).blocks))
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
 def catalan_by_recurrence(n: int) -> int:
     """Independent Catalan oracle: C_0 = 1, C_n = sum C_i C_{n-1-i}."""
     cs = [1]

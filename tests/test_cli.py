@@ -179,11 +179,14 @@ def test_matmodel_run(capsys):
     code, out, _ = run_cli(
         capsys, "matmodel", "run", "--r", "2", "--N", "40", "--k", "3",
         "--word", "1:1,2:1,1:-1,2:-1", "--trials", "4", "--seed", "42",
-        "--output", "json",
     )
     assert code == 0
     report = json.loads(out)
     assert report["words"][0]["prediction"] == "0/1"
+    # --output had one choice, json, and changed nothing; it is gone
+    code, out, err = run_cli(capsys, "matmodel", "run", "--r", "2", "--N", "4", "--k", "2",
+                             "--word", "1:1", "--trials", "1", "--seed", "0", "--output", "json")
+    assert (code, out) == (1, "") and json.loads(err)["kind"] == "usage"
 
 
 def test_byte_identical_reruns(capsys):
@@ -478,6 +481,19 @@ def test_sequence_verbs_take_format_and_decimal(tmp_path, capsys, argv, name):
     assert len(data[name + "_decimal"]) == len(values)
 
 
+@pytest.mark.parametrize("argv", [argv for argv, _ in SEQUENCE_VERBS],
+                         ids=[" ".join(argv[:2]) for argv, _ in SEQUENCE_VERBS])
+def test_sequence_verbs_refuse_decimal_with_csv(tmp_path, capsys, argv):
+    # CSV rows carry the exact values only, so a --decimal there would be dropped
+    argv = [a.format(**_verb_files(tmp_path)) for a in argv]
+    for extra in (["--decimal", "2", "--format", "csv"], ["--format", "csv", "--decimal", "0"]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "argument --decimal: not allowed with argument --format csv",
+            "kind": "usage"}
+
+
 REFUSED = [(argv, extra) for argv in OTHER_VERBS
            for extra in (["--format", "csv"], ["--format", "json"], ["--decimal", "2"])]
 REFUSED.append((["nc", "enumerate", "--n", "3"], ["--decimal", "2"]))
@@ -547,54 +563,56 @@ def size_pair(draw):
     return draw(st.one_of(st.integers(1, top), st.integers(-2, top))), n
 
 
-@st.composite
-def fuzz_argv(draw):
-    def file(good, others):
-        return "@" + draw(st.sampled_from((good,) * len(others) + others))
+def verb(*parts):
+    """One argv: each part is a fixed string or a strategy for one."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(list)
 
-    def i():
-        return str(draw(small_ints))
 
-    def r():
-        return draw(junk_rationals)
-    k, n = draw(size_pair())
-    argv = draw(st.sampled_from([
-        ["nc", "count", "--kind", draw(st.sampled_from(
-            ["nc", "kdivisible", "kequal", "multichains"])), "--k", i(), "--n", i()],
-        ["nc", "enumerate", "--kind", draw(st.sampled_from(["nc", "kdivisible", "kequal"])),
-         "--k", str(k), "--n", str(n), "--max-n", i()],
-        ["nc", "kreweras", "--partition", draw(partitions)],
-        ["conv", "zeta-power", "--in", file("seq", SEQS), "--k", i(), "--order", i()],
-        ["conv", "moebius", "--order", i()],
-        ["series", "invert", "--in", file("seq-zero-led", SEQS)] + draw(st.sampled_from(
-            [[], ["--frac", i()]])),
-        ["series", "solve-fe", "--in", file("seq", SEQS), "--k", i()],
-        ["transform", "m2c", "--in", file("seq", SEQS)],
-        ["transform", "c2m", "--in", file("seq", SEQS), "--order", i()],
-        ["transform", "boxtimes", "--a", file("seq", SEQS), "--b", file("seq-numbers", SEQS)],
-        ["transform", "boxplus-power", "--in", file("seq", SEQS), "--t", r()],
-        ["transform", "s-transform", "--in", file("seq-zero-led", SEQS)],
-        ["transform", "word-moment", "--vars", file("vars", VARS), "--word", draw(words)],
-        ["ksym", "semicircle", "--k", i(), "--order", i()],
-        ["ksym", "bessel", "--k", i(), "--order", i()],
-        ["ksym", "compound-poisson", "--k", i(), "--rate", r(), "--jump", file("law", LAWS),
-         "--order", i()],
-        ["ksym", "clt", "--in", file("law", LAWS), "--n-samples", i(), "--order", i()],
-        ["ksym", "poisson-limit", "--k", i(), "--rate", r(), "--jump", file("law", LAWS),
-         "--n-samples", i(), "--order", i()],
-        ["ksym", "stable-check", "--k", i(), "--t", r(), "--s", r()],
-        ["matmodel", "run", "--r", i(), "--N", str(draw(st.integers(-2, 20))), "--k", i(),
-         "--word", draw(matrix_words), "--trials", str(draw(st.integers(-1, 3))),
-         "--seed", str(draw(st.integers(0, 5)))],
-    ]))
-    extras = draw(st.sampled_from([[]] * 4 + [
-        ["--decimal", i()], ["--format", "csv"], ["--format", "xml"], ["--bogus"]]))
-    return argv + extras
+def file(good, others):
+    return st.sampled_from((good,) * len(others) + others).map(lambda name: "@" + name)
+
+
+num = small_ints.map(str)
+nc_enumerate = st.tuples(st.sampled_from(["nc", "kdivisible", "kequal"]), size_pair(), num).map(
+    lambda t: ["nc", "enumerate", "--kind", t[0], "--k", str(t[1][0]), "--n", str(t[1][1]),
+               "--max-n", t[2]])
+
+# one strategy per verb, so an example draws only the values of the verb it runs
+fuzz_argv = st.tuples(st.one_of(
+    verb("nc", "count", "--kind", st.sampled_from(["nc", "kdivisible", "kequal", "multichains"]),
+         "--k", num, "--n", num),
+    nc_enumerate,
+    verb("nc", "kreweras", "--partition", partitions),
+    verb("conv", "zeta-power", "--in", file("seq", SEQS), "--k", num, "--order", num),
+    verb("conv", "moebius", "--order", num),
+    verb("series", "invert", "--in", file("seq-zero-led", SEQS)),
+    verb("series", "invert", "--in", file("seq-zero-led", SEQS), "--frac", num),
+    verb("series", "solve-fe", "--in", file("seq", SEQS), "--k", num),
+    verb("transform", "m2c", "--in", file("seq", SEQS)),
+    verb("transform", "c2m", "--in", file("seq", SEQS), "--order", num),
+    verb("transform", "boxtimes", "--a", file("seq", SEQS), "--b", file("seq-numbers", SEQS)),
+    verb("transform", "boxplus-power", "--in", file("seq", SEQS), "--t", junk_rationals),
+    verb("transform", "s-transform", "--in", file("seq-zero-led", SEQS)),
+    verb("transform", "word-moment", "--vars", file("vars", VARS), "--word", words),
+    verb("ksym", "semicircle", "--k", num, "--order", num),
+    verb("ksym", "bessel", "--k", num, "--order", num),
+    verb("ksym", "compound-poisson", "--k", num, "--rate", junk_rationals,
+         "--jump", file("law", LAWS), "--order", num),
+    verb("ksym", "clt", "--in", file("law", LAWS), "--n-samples", num, "--order", num),
+    verb("ksym", "poisson-limit", "--k", num, "--rate", junk_rationals,
+         "--jump", file("law", LAWS), "--n-samples", num, "--order", num),
+    verb("ksym", "stable-check", "--k", num, "--t", junk_rationals, "--s", junk_rationals),
+    verb("matmodel", "run", "--r", num, "--N", st.integers(-2, 20).map(str), "--k", num,
+         "--word", matrix_words, "--trials", st.integers(-1, 3).map(str),
+         "--seed", st.integers(0, 5).map(str)),
+), st.one_of([st.just([])] * 4 + [
+    verb("--decimal", num), st.just(["--format", "csv"]), st.just(["--format", "xml"]),
+    st.just(["--bogus"])])).map(lambda pair: pair[0] + pair[1])
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=fuzz_argv())
+@given(argv=fuzz_argv)
 def test_every_argv_keeps_the_cli_contract(tmp_path, capsys, argv):
     # the files are written once and only read; capsys is drained per call
     paths = {name: tmp_path / f"{name}.json" for name in FUZZ_FILES}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,10 @@ from hypothesis import strategies as st
 
 from freeprob import incidence as inc
 from freeprob import ncpart as nc
-from freeprob.errors import ValidationError
+from freeprob.errors import ResourceLimitError, ValidationError
 from freeprob.sequences import RationalSequence
-from oracles import catalan_by_recurrence, conv_power_by_steps, multichain_count_enumerated
+from oracles import (catalan_by_recurrence, conv_power_by_steps, multichain_count_enumerated,
+                     pair_stats_by_enumeration)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -337,3 +339,50 @@ def test_kdivisible_conv_needs_operands_up_to_k_times_order():
     with pytest.raises(ValidationError):
         inc.kdivisible_conv(2, g, None, 3)
     assert inc.kdivisible_conv(2, None, g.prefix(4), 2).order == 2
+
+
+@pytest.mark.parametrize("k,top", [(1, 11), (2, 6), (3, 5), (4, 4), (5, 3)])
+def test_pair_stats_closed_form_matches_the_enumeration(k, top):
+    for n in range(1, top + 1):
+        inc._pair_stats.pop((k, n), None)
+        assert inc.kdivisible_pair_stats(k, n) == pair_stats_by_enumeration(k, n)
+
+
+def test_pair_stats_sum_to_fuss_catalan_with_kreweras_type_counts():
+    # Kreweras: NC(n) has n! / ((n - l + 1)! Aut lambda) partitions of a
+    # type lambda with l blocks
+    for k, top in [(1, 16), (2, 8), (3, 6), (7, 3), (1000, 2), (5000, 1)]:
+        for n in range(1, top + 1):
+            hist = inc.kdivisible_pair_stats(k, n)
+            assert sum(hist.values()) == nc.fuss_catalan_kdivisible(k, n)
+            if k > 1:
+                continue
+            marginal = {}
+            for (lam, _), cnt in hist.items():
+                marginal[lam] = marginal.get(lam, 0) + cnt
+            for lam, cnt in marginal.items():
+                aut = prod(factorial(lam.count(s)) for s in set(lam))
+                assert cnt == factorial(n) // (factorial(n - len(lam) + 1) * aut)
+
+
+def test_pair_stats_take_no_recursion_that_deepens_with_k():
+    for n in (1, 2):
+        inc._pair_stats.pop((1000, n), None)
+    out = inc.kdivisible_conv(1000, inc.zeta_family(2000), None, 2)
+    assert list(out) == [nc.fuss_catalan_kdivisible(1000, n) for n in (1, 2)]
+
+
+def test_pair_stats_enumerate_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the pair-stat fill enumerated partitions")
+    monkeypatch.setattr(nc, "_iter_spans", refuse)
+    monkeypatch.setattr(nc, "kreweras", refuse)
+    monkeypatch.delitem(inc._pair_stats, (1, 12), raising=False)
+    assert sum(inc.kdivisible_pair_stats(1, 12).values()) == nc.catalan(12)
+
+
+def test_pair_stats_keep_the_validation_and_the_budget():
+    with pytest.raises(ValidationError, match="k and n must be >= 1"):
+        inc.kdivisible_pair_stats(0, 3)
+    with pytest.raises(ResourceLimitError, match=r"NC\^1\(17\) would enumerate"):
+        inc.kdivisible_pair_stats(1, 17)
