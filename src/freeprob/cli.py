@@ -323,6 +323,8 @@ def build_parser() -> _Parser:
 
 
 def run(argv) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact integers read and print in full
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -151,9 +151,10 @@ def clt_scaled_cumulants(d: KSymmetricDistribution, n_samples: int,
         raise ValidationError(
             f"{n_samples} is not a perfect {d.k}-th power, scaling is irrational"
         )
-    full = incidence.dilate(alpha, d.k).prefix(order)
+    # the k-dilated alpha: alpha_{i/k} at multiples of k, else 0
     return RationalSequence(
-        [Fraction(b) ** (d.k - i) * full[i] for i in range(1, order + 1)]
+        [Fraction(b) ** (d.k - i) * alpha[i // d.k] if i % d.k == 0 else Fraction(0)
+         for i in range(1, order + 1)]
     )
 
 

@@ -5,19 +5,19 @@ Conventions used throughout:
 
 * ground set is {1..n}, blocks are tuples of ints sorted ascending,
   a partition's blocks are sorted by their minimum element;
-* enumeration order is the recursive "block of 1" decomposition: the
-  block containing the smallest point is grown left to right, each gap
-  between consecutive block elements (and the tail after the last one)
-  is partitioned independently.  The order this recursion produces is
-  deterministic and is part of the public contract.  One walker,
-  `_iter_spans(lo, hi, k, exact)`, serves NC(n), NC^k(n) and NC_k(n);
+* enumeration order is the "block of 1" decomposition: the block
+  containing the smallest point is grown left to right, each gap between
+  consecutive block elements (and the tail after the last one) is
+  partitioned independently.  This order is deterministic and is part of
+  the public contract.  One explicit-stack walker,
+  `_iter_spans(points, k, exact)`, serves NC(n), NC^k(n) and NC_k(n), at
+  any depth;
 * full enumeration is capped: an enumeration is allowed whenever its
   closed-form count stays within Catalan(cap), so the default cap 16
   admits NC(n) for n <= 16; override via the max_n argument or the
   FREEPROB_MAX_N environment variable (the cap must be >= 1).  Such a
   count is at least Catalan(n) (bar NC_1(n), one partition), so n > cap
-  is refused before any count is computed; a walk too deep for Python's
-  recursion limit is refused too (CLI exit 3).  Counting operations use
+  is refused before any count is computed.  Counting operations use
   closed forms and are never capped;
 * `join` goes through the Kreweras complement Kr, which reverses the
   order of NC(n); Kr(Kr(p)) is p rotated by x -> x - 1.
@@ -56,7 +56,7 @@ def _check_budget(n: int, count, max_n: int | None, what: str) -> None:
     # The budget is the size NC(cap) would have.  Catalan is strictly
     # increasing on n >= 1 and count() >= Catalan(n), so n > cap is over
     # budget before a count of up to millions of digits is computed.  The
-    # message names no count: one past about 4300 digits cannot be printed.
+    # message names no count, which could run to that many digits.
     cap = _resolve_cap(max_n)
     if n > cap or count() > catalan(cap):
         raise ResourceLimitError(
@@ -79,7 +79,8 @@ class Partition:
             if not b:
                 raise ValidationError("empty block")
             seen.extend(b)
-        if sorted(seen) != list(range(1, n + 1)):
+        # the count first: range(1, n + 1) is as large as the largest point
+        if len(seen) != n or sorted(seen) != list(range(1, n + 1)):
             raise ValidationError(f"blocks do not partition 1..{n}: {blocks!r}")
         self.n = n
         self.blocks = canon
@@ -145,35 +146,33 @@ def is_noncrossing(p: Partition) -> bool:
 # enumeration
 
 
-def _iter_spans(lo: int, hi: int, k: int, exact: bool) -> Iterator[Blocks]:
-    """Non-crossing partitions of lo..hi-1 (k divides hi - lo) as raw block
-    tuples, every block size divisible by k, and exactly k if exact.  The
-    block of lo steps by k, so each gap holds whole blocks, and closes at
-    a size divisible by k: exact blocks stop growing at k."""
-    if lo >= hi:
-        yield ()
-        return
-
-    def walk(block: tuple, gaps: Blocks, nxt: int) -> Iterator[Blocks]:
-        if len(block) % k == 0:
-            for tail in _iter_spans(nxt, hi, k, exact):
-                yield (block,) + gaps + tail
-        if not exact or len(block) < k:
-            for j in range(nxt, hi, k):
-                for mid in _iter_spans(nxt, j, k, exact):
-                    yield from walk(block + (j,), gaps + mid, j + 1)
-
-    yield from walk((lo,), (), lo + 1)
-
-
-def _walk(what: str, points: int, k: int, exact: bool) -> Iterator[Blocks]:
-    # a generator nests per point of a block and per closed block
-    try:
-        yield from _iter_spans(1, points + 1, k, exact)
-    except RecursionError:
-        raise ResourceLimitError(
-            f"{what} nests deeper than the recursion limit of the enumeration walk"
-        ) from None
+def _iter_spans(points: int, k: int, exact: bool) -> Iterator[Blocks]:
+    """Non-crossing partitions of 1..points (k divides points) as raw block
+    tuples, every block size divisible by k, and exactly k if exact, from
+    one loop on an explicit stack.  A frame is (open block, next point,
+    span end, todo, done): todo links the blocks whose gap is being
+    filled, done holds the closed blocks.  A block steps by k, so each gap
+    holds whole blocks, and closes at a size divisible by k (exact blocks
+    stop growing at k); closing comes first, then each extension j."""
+    stack = [((1,), 2, points + 1, None, ())]
+    while stack:
+        block, nxt, hi, todo, done = stack.pop()
+        while True:
+            if not exact or len(block) < k:
+                for j in reversed(range(nxt, hi, k)):
+                    grown = (block + (j,), j + 1, hi)
+                    stack.append(((nxt,), nxt + 1, j, (grown, todo), done) if j > nxt
+                                 else grown + (todo, done))
+            if len(block) % k:
+                break
+            done += (block,)
+            if nxt < hi:  # the next span
+                block, nxt = (nxt,), nxt + 1
+            elif todo:  # back to the block that waits for this gap
+                (block, nxt, hi), todo = todo
+            else:
+                yield tuple(sorted(done))
+                break
 
 
 def iter_nc_blocks(n: int, max_n: int | None = None) -> Iterator[Blocks]:
@@ -181,7 +180,7 @@ def iter_nc_blocks(n: int, max_n: int | None = None) -> Iterator[Blocks]:
     if n < 1:
         raise ValidationError("n must be >= 1")
     _check_budget(n, lambda: catalan(n), max_n, f"NC({n})")
-    return _walk(f"NC({n})", n, 1, False)
+    return _iter_spans(n, 1, False)
 
 
 def iter_nc(n: int, max_n: int | None = None) -> Iterator[NCPartition]:
@@ -190,7 +189,7 @@ def iter_nc(n: int, max_n: int | None = None) -> Iterator[NCPartition]:
 
 
 def _wrap(n: int, blocks: Blocks) -> NCPartition:
-    # Blocks produced by the recursion are already canonical and
+    # Blocks produced by the walker are already canonical and
     # non-crossing; bypass re-validation for speed.
     p = Partition.__new__(NCPartition)
     p.n = n
@@ -208,7 +207,7 @@ def iter_kdivisible_blocks(k: int, n: int, max_n: int | None = None) -> Iterator
     if k < 1 or n < 1:
         raise ValidationError("k and n must be >= 1")
     _check_budget(n, lambda: fuss_catalan_kdivisible(k, n), max_n, f"NC^{k}({n})")
-    return _walk(f"NC^{k}({n})", k * n, k, False)
+    return _iter_spans(k * n, k, False)
 
 
 def iter_kdivisible(k: int, n: int, max_n: int | None = None) -> Iterator[NCPartition]:
@@ -225,7 +224,7 @@ def iter_kequal(k: int, n: int, max_n: int | None = None) -> Iterator[NCPartitio
         raise ValidationError("k and n must be >= 1")
     # #NC_k(n) = #NC^{k-1}(n) >= Catalan(n) for k >= 2, and #NC_1(n) = 1
     _check_budget(n if k > 1 else 1, lambda: count_kequal(k, n), max_n, f"NC_{k}({n})")
-    return (_wrap(k * n, blocks) for blocks in _walk(f"NC_{k}({n})", k * n, k, True))
+    return (_wrap(k * n, blocks) for blocks in _iter_spans(k * n, k, True))
 
 
 def enumerate_kequal(k: int, n: int, max_n: int | None = None) -> list:

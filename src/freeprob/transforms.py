@@ -431,29 +431,24 @@ def freeness_moment_check(variables, a_label: str, h_word, max_letters: int) -> 
     mean_h = ev.phi(h_word)
     mean_a = ev.phi(((a_label, 1),))
 
-    def phi_pattern(pattern, centered_mask) -> Fraction:
-        # pattern entries: "h" or "a"; centered letters expand as
+    def phi_pattern(pattern) -> Fraction:
+        # pattern entries: "h" or "a"; every letter is centered as
         # (letter - mean); expand the product by linearity
         total = Fraction(0)
-        idx = [i for i in range(len(pattern)) if centered_mask >> i & 1]
-        for mask in range(1 << len(idx)):
+        for mask in range(1 << len(pattern)):
             coeff = Fraction(1)
-            skip = set()
-            for bit, i in enumerate(idx):
-                if mask >> bit & 1:
-                    coeff *= -(mean_h if pattern[i] == "h" else mean_a)
-                    skip.add(i)
             word: list = []
             for i, sym in enumerate(pattern):
-                if i in skip:
-                    continue
-                word.extend(h_word if sym == "h" else [(a_label, 1)])
+                if mask >> i & 1:
+                    coeff *= -(mean_h if sym == "h" else mean_a)
+                else:
+                    word.extend(h_word if sym == "h" else [(a_label, 1)])
             total += coeff * ev.phi(tuple(word))
         return total
 
     for m in range(2, max_letters + 1):
         for start in ("h", "a"):
             pattern = tuple(("h", "a")[(i + (start == "a")) % 2] for i in range(m))
-            if phi_pattern(pattern, (1 << m) - 1) != 0:
+            if phi_pattern(pattern) != 0:
                 return False
     return True

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from freeprob import ncpart
 from freeprob.cli import run
 
 
@@ -274,13 +275,36 @@ def test_count_past_the_int_printing_limit_is_a_resource_limit(capsys, kind):
 
 @pytest.mark.parametrize("kind,k,n", [("kequal", "1", "1000"), ("kdivisible", "1000", "1"),
                                      ("kequal", "1000", "1")])
-def test_enumeration_too_deep_to_walk_is_a_resource_limit(capsys, kind, k, n):
-    # one partition each, under the budget, but the walk passes the
-    # recursion limit
+def test_enumeration_of_a_thousand_points_prints_its_one_partition(capsys, kind, k, n):
+    # a thousand points: a walker that recursed per point would pass Python's
+    # default recursion limit here
     code, out, err = run_cli(capsys, "nc", "enumerate", "--kind", kind, "--k", k, "--n", n)
-    assert code == 3 and out == "" and len(err.splitlines()) == 1
-    diag = json.loads(err)
-    assert diag["kind"] == "resource-limit" and "recursion limit" in diag["error"]
+    assert code == 0 and err == ""
+    one = ncpart.zero_partition(1000) if k == "1" else ncpart.one_partition(1000)
+    assert json.loads(out) == {"count": 1, "partitions": [ncpart.format_partition(one)]}
+
+
+def test_integers_past_4300_digits_print_in_full(capsys):
+    # Python refuses int <-> str past 4300 digits unless the limit is lifted;
+    # the CLI lifts it, so the expected string below can be built after it
+    code, out, err = run_cli(capsys, "nc", "count", "--n", "8000")
+    assert code == 0 and err == ""
+    assert out == f"{ncpart.catalan(8000)}\n"
+
+
+def test_input_integers_past_4300_digits_are_read_in_full(tmp_path, capsys):
+    f = tmp_path / "big.json"
+    f.write_text("[" + "7" * 5000 + "]")
+    code, out, err = run_cli(capsys, "transform", "c2m", "--in", str(f))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"moments": ["7" * 5000 + "/1"]}
+
+
+def test_kreweras_of_a_far_point_is_refused_at_once(capsys):
+    # two points: the ground set 1..10**12 is never listed
+    code, out, err = run_cli(capsys, "nc", "kreweras", "--partition", "{1,1000000000000}")
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "validation"
 
 
 def test_enumeration_past_the_cap_is_refused_from_n(capsys):

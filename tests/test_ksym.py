@@ -272,6 +272,17 @@ def test_clt_higher_cumulants_shrink_monotonically():
         prev = tail
 
 
+def test_clt_reads_the_dilated_entries_without_dilating(monkeypatch):
+    # k = 10**9: a dilated alpha would hold k * order entries
+    def refuse(*args):
+        raise AssertionError("clt_scaled_cumulants dilated alpha")
+    monkeypatch.setattr(inc, "dilate", refuse)
+    d = KSymmetricDistribution(10**9, RationalSequence([Fraction(1)]))
+    assert ksym.clt_scaled_cumulants(d, 1, 3) == RationalSequence([Fraction(0)] * 3)
+    d = ksym.from_determining_sequence(2, RationalSequence([Fraction(1), Fraction(-1, 3)]))
+    assert list(ksym.clt_scaled_cumulants(d, 9, 4)) == [0, 1, 0, Fraction(-1, 27)]
+
+
 def test_clt_requires_normalized_and_perfect_power():
     d = ksym.from_determining_sequence(2, RationalSequence([Fraction(2), 0, 0]))
     with pytest.raises(ValidationError):

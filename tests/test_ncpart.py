@@ -116,11 +116,25 @@ def test_kequal_with_k_one_is_one_partition_past_the_cap():
 
 @pytest.mark.parametrize("kind,k,n", [("kequal", 1, 1000), ("kdivisible", 1000, 1),
                                      ("kequal", 1000, 1)])
-def test_walk_deeper_than_the_recursion_limit_is_a_resource_limit(kind, k, n):
-    # each count is 1, far under the budget; the walk nests a generator
-    # per point of the block
-    with pytest.raises(ResourceLimitError, match="recursion limit"):
-        getattr(nc, f"enumerate_{kind}")(k, n)
+def test_walk_past_the_old_recursion_limit_returns_its_one_partition(kind, k, n):
+    # a thousand points: a walker that recursed per point would pass Python's
+    # default recursion limit here
+    one = nc.zero_partition(1000) if k == 1 else nc.one_partition(1000)
+    assert getattr(nc, f"enumerate_{kind}")(k, n) == [one]
+
+
+def test_walk_takes_no_recursion_that_deepens_with_the_points():
+    assert nc.enumerate_kequal(1, 5000) == [nc.zero_partition(5000)]
+    assert nc.enumerate_kdivisible(5000, 1) == [nc.one_partition(5000)]
+    assert nc.enumerate_kequal(5000, 1) == [nc.one_partition(5000)]
+
+
+def test_partition_checks_the_point_count_before_listing_the_ground_set():
+    # {1, 10**12} has two points; listing 1..10**12 first needs terabytes
+    with pytest.raises(ValidationError, match="do not partition"):
+        nc.parse_partition("{1,1000000000000}")
+    with pytest.raises(ValidationError, match="do not partition"):
+        nc.Partition(10**12, [(1, 2), (3,)])
 
 
 def _spans_by_predicates(lo, hi, close_ok, gap_ok, may_extend):
