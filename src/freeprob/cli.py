@@ -8,22 +8,42 @@ moebius; transform m2c, c2m, boxtimes and boxplus-power; ksym bessel, clt
 and poisson-limit) take --decimal D (a decimal rendering) or --format
 csv, not both; `nc enumerate` takes --format csv.  No other verb takes
 either flag.  Exit codes: 0 success, 1 usage error, 2 validation error,
-3 resource limit.  Identical argv (and seed) produce byte-identical
-output.
+3 resource limit or a reader that closed stdout.  Identical argv (and
+seed) produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import sys
 from fractions import Fraction
 
-from . import incidence, ksym, matmodel, ncpart, series, transforms
 from .errors import ResourceLimitError, ValidationError
-from .ksym import KSymmetricDistribution
 from .sequences import RationalSequence, _decimal_str, frac_to_str
-from .series import PowerSeries, PuiseuxSeries
+
+
+def _lazy(*names):
+    """The named layer modules.  One not imported yet is put in sys.modules
+    unrun and is compiled and run on its first attribute access, so a verb
+    loads only the layers it reaches (`nc count`: `ncpart` alone).  A layer
+    already imported is returned as it is."""
+    package = sys.modules[__package__]
+    for name in names:
+        full = f"{__package__}.{name}"
+        if full not in sys.modules:
+            spec = importlib.util.find_spec(full)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            sys.modules[full] = module = importlib.util.module_from_spec(spec)
+            setattr(package, name, module)
+            spec.loader.exec_module(module)
+    return [sys.modules[f"{__package__}.{name}"] for name in names]
+
+
+incidence, ksym, matmodel, ncpart, series, transforms = _lazy(
+    "incidence", "ksym", "matmodel", "ncpart", "series", "transforms")
 
 
 class UsageError(Exception):
@@ -49,8 +69,8 @@ def _load_sequence(path: str) -> RationalSequence:
     return RationalSequence.from_json(_read_json(path))
 
 
-def _load_law(path: str) -> KSymmetricDistribution:
-    return KSymmetricDistribution.from_json(_read_json(path))
+def _load_law(path: str) -> ksym.KSymmetricDistribution:
+    return ksym.KSymmetricDistribution.from_json(_read_json(path))
 
 
 def _load_variables(path: str) -> list:
@@ -116,7 +136,7 @@ def _print_series(s) -> None:
     # plain power series are bare coefficient arrays c_0..c_N; Puiseux
     # series carry their ramification and lowest exponent
     coeffs = [frac_to_str(c) for c in s.coeffs]
-    if isinstance(s, PuiseuxSeries):
+    if isinstance(s, series.PuiseuxSeries):
         _print_json({"ramification": s.ram, "lo": s.lo, "coeffs": coeffs})
     else:
         _print_json(coeffs)
@@ -201,7 +221,7 @@ def _moebius(args) -> None:
 @_verb("series", "invert", _IN, ("--frac", dict(
     type=int, help="fractional-power inverse with this ramification")))
 def _invert(args) -> None:
-    p = PowerSeries(_load_sequence(args.infile).values)
+    p = series.PowerSeries(_load_sequence(args.infile).values)
     if args.frac and args.frac > 1:
         _print_series(series.frac_inverse(p, args.frac))
     else:
@@ -210,7 +230,7 @@ def _invert(args) -> None:
 
 @_verb("series", "solve-fe", _IN, _K, _UP_TO)
 def _solve_fe(args) -> None:
-    p = PowerSeries(_load_sequence(args.infile).values)
+    p = series.PowerSeries(_load_sequence(args.infile).values)
     _print_series(series.solve_A_given_B(p, args.k, _order(args, p.order)))
 
 
@@ -332,7 +352,17 @@ def run(argv) -> int:
             raise UsageError("argument --decimal: not allowed with argument --format csv")
         _check_args(args)
         args.handler(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
         return 0
+    except BrokenPipeError:
+        # the reader closed stdout: the output is lost, which no exit 0
+        # may claim; stdout goes to devnull so the flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write(json.dumps({"error": "stdout closed by its reader",
+                                     "kind": "broken-pipe"}) + "\n")
+        return 3
     except UsageError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "usage"}) + "\n")
         return 1

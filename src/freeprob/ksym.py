@@ -15,7 +15,7 @@ the result is certified as an actual measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import incidence, ncpart, transforms
@@ -258,8 +258,7 @@ def infdiv_power_identity_check(rate, jump: KSymmetricDistribution, k: int,
 # symbolic stable-law monomials
 
 
-@dataclass(frozen=True)
-class StableMonomial:
+class StableMonomial(namedtuple("StableMonomial", "scale phase_pi exponent theta power_atoms")):
     """Symbolic S-transform scale * theta-product * e^(i pi phase) * z^exponent.
 
     Magnitude atoms theta_alpha carry the index of a one-sided stable
@@ -269,14 +268,10 @@ class StableMonomial:
     (base, exponent) power atom instead of evaluating it.
     """
 
-    scale: Fraction = Fraction(1)
-    phase_pi: Fraction = Fraction(0)
-    exponent: Fraction = Fraction(0)
-    theta: tuple = ()
-    power_atoms: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        scale = Fraction(self.scale)
+    def __new__(cls, scale=1, phase_pi=0, exponent=0, theta=(), power_atoms=()):
+        scale = Fraction(scale)
         if scale <= 0:
             raise ValidationError("monomial scale must be positive")
         # canonicalize power atoms: factor every base into primes, sum
@@ -285,7 +280,7 @@ class StableMonomial:
         # (0, 1); this normal form makes symbolically equal products of
         # rational powers compare equal
         per_prime: dict = {}
-        for b, e in self.power_atoms:
+        for b, e in power_atoms:
             b, e = Fraction(b), Fraction(e)
             if b <= 0:
                 raise ValidationError("power atom base must be positive")
@@ -300,11 +295,8 @@ class StableMonomial:
             scale *= Fraction(p) ** whole
             if frac != 0:
                 atoms.append((Fraction(p), frac))
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "phase_pi", Fraction(self.phase_pi) % 2)
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
-        object.__setattr__(self, "theta", tuple(sorted(Fraction(a) for a in self.theta)))
-        object.__setattr__(self, "power_atoms", tuple(sorted(atoms)))
+        return super().__new__(cls, scale, Fraction(phase_pi) % 2, Fraction(exponent),
+                               tuple(sorted(Fraction(a) for a in theta)), tuple(sorted(atoms)))
 
     def to_json(self) -> dict:
         out = {

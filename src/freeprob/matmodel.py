@@ -10,7 +10,7 @@ plus the trial index fully determine every draw.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import transforms
@@ -18,11 +18,9 @@ from .errors import ValidationError
 from .sequences import RationalSequence, _decimal_str, frac_to_str
 
 
-@dataclass(frozen=True)
-class KCyclePermutation:
-    n_cycles: int
-    k: int
-    mapping: tuple  # image of i at index i, 0-based, length n_cycles * k
+class KCyclePermutation(namedtuple("KCyclePermutation", "n_cycles k mapping")):
+    # mapping: image of i at index i, 0-based, length n_cycles * k
+    __slots__ = ()
 
     @property
     def size(self) -> int:
