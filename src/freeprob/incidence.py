@@ -26,8 +26,9 @@ enumeration budget of `ncpart`.  `ksym` builds every k-symmetric law
 on the series zeta power: k convolutions with zeta in NC are one in NC^k.
 
 Routes go through `errors.run_route` ("both" runs all and checks that
-they agree): `zeta_power_conv` has "series", "iterated" and "dilated",
-and a negative power walks with the Moebius family in place of zeta.
+they agree): `zeta_power_conv` has "series", "iterated" (|k| walks in
+NC(n)) and "dilated" (one walk in NC^|k|(n)), and a negative power walks
+with the Moebius family.  Every zeta-power walk in the library is one of these.
 """
 
 from __future__ import annotations
@@ -206,29 +207,30 @@ def zeta_power_conv(g: RationalSequence, k: int, order: int,
 
     Three routes are available and must agree: "series" solves
     A = B(z A^k) for A = 1 + (g * zeta^k)(z) with B = 1 + g(z),
-    "iterated" convolves |k| times at order n by the walk, "dilated"
-    convolves the |k|-dilated sequence once at order |k|n by the walk
-    and undilates.  Both walks convolve with zeta, or with the Moebius
-    family when k < 0: dilate(g * zeta^k) = dilate(g) * zeta.
+    "iterated" walks NC(n) |k| times, and "dilated" walks NC^|k|(n)
+    once with the |k|-dilated g, since |k| convolutions in NC are one
+    in NC^|k|.  Both walks convolve with zeta, or with the Moebius
+    family when k < 0.  At k = 0 every route is g itself.
     """
     if g.order < order:
         raise ValidationError("operand order too small")
-    if k == 0:
-        return g.prefix(order)
     steps = abs(k)
 
     def by_series() -> RationalSequence:
         b = PowerSeries([1, *g.values[:order]])
         return RationalSequence(series.solve_A_given_B(b, k, order).coeffs[1:])
 
-    def walk(seq: RationalSequence, times: int, n: int) -> RationalSequence:
-        step = None if k > 0 else moebius_family(n)
+    def walk(j: int, seq: RationalSequence, times: int) -> RationalSequence:
+        step = None if k > 0 else moebius_family(j * order)
         for _ in range(times):
-            seq = kdivisible_conv(1, seq, step, n)
+            seq = kdivisible_conv(j, seq, step, order)
         return seq
 
-    return run_route("zeta_power_conv", route, {
+    routes = {
         "series": by_series,
-        "iterated": lambda: walk(g.prefix(order), steps, order),
-        "dilated": lambda: undilate(walk(dilate(g.prefix(order), steps), 1, steps * order), steps),
-    })
+        "iterated": lambda: walk(1, g.prefix(order), steps),
+        "dilated": lambda: walk(steps, dilate(g.prefix(order), steps), 1),
+    }
+    if k == 0:
+        routes = dict.fromkeys(routes, lambda: g.prefix(order))
+    return run_route("zeta_power_conv", route, routes)

@@ -191,20 +191,18 @@ def xk_of_kdivisible(alpha: RationalSequence, k: int, order: int) -> RationalSeq
     """Moments of x^k for k-divisible x whose determining sequence alpha
     is the cumulant sequence of a positive law.
 
-    Computed along two routes that must agree: the k-divisible cumulant
-    formula, and the law identity distr(x^k) = (free Poisson)^{boxtimes
-    (k-1)} boxtimes nu.
+    The moments of kappa(x^k) = alpha * zeta^(k-1), whose zeta power runs
+    route "both": the series solve, the k-divisible cumulant formula
+    ("dilated", a walk of NC^(k-1)(n)) and the law identity distr(x^k) =
+    (free Poisson)^{boxtimes (k-1)} boxtimes nu ("iterated") must agree.
     """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
     mom_nu = transforms.cumulants_to_moments(alpha.prefix(order), order)
     if not transforms.hankel_check(mom_nu, stieltjes=True):
         raise ValidationError("alpha is not the cumulant sequence of a positive law")
-    return run_route("xk_of_kdivisible", "both", {
-        "power": lambda: transforms.cumulants_to_moments(
-            transforms.kdiv_power_cumulants(alpha, k, order, route="enumeration"), order),
-        "poisson": lambda: transforms.cumulants_to_moments(
-            incidence.zeta_power_conv(alpha.prefix(order), k - 1, order, route="iterated"),
-            order),
-    })
+    return transforms.cumulants_to_moments(
+        incidence.zeta_power_conv(alpha, k - 1, order, route="both"), order)
 
 
 def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
@@ -248,10 +246,7 @@ def infdiv_power_identity_check(rate, jump: KSymmetricDistribution, k: int,
     x = compound_poisson(k, rate, jump, order)
     lhs = transforms.moments_to_cumulants(x.base.prefix(order), order)
     alpha = jump.base.prefix(order).scale(rate)
-    if k == 1:
-        return lhs == alpha
-    c = incidence.zeta_power_conv(alpha, k - 2, order, route="iterated")
-    return lhs == transforms.cumulants_to_moments(c, order)
+    return lhs == incidence.zeta_power_conv(alpha, k - 1, order, route="iterated")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Every major identity here is computable along two independent routes
 A `route` argument names one route and goes through `errors.run_route`,
 where "both" runs every route and raises RouteMismatchError unless all
 agree: m2c/c2m have "series" and "enumeration",
-`kdiv_power_cumulants` has "enumeration", "two-stage" and "zeta".
+`kdiv_power_cumulants` has "enumeration", "two-stage" and "zeta".  Each
+of these routes is one or two `incidence.zeta_power_conv` calls, which
+owns every walk of a zeta power.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ def cumulants_to_moments(cum: RationalSequence, order: int | None = None,
     """m_n = sum over pi in NC(n) of kappa_pi.
 
     route "series" is the zeta power cum * zeta, which solves
-    M(z) = C(z M(z)); route "enumeration" walks the convolution with the
-    zeta family; "both" runs the two and insists they agree.
+    M(z) = C(z M(z)); route "enumeration" is its "iterated" walk of
+    NC(n); "both" runs the two and insists they agree.
     """
     if order is None:
         order = cum.order
@@ -36,7 +38,7 @@ def cumulants_to_moments(cum: RationalSequence, order: int | None = None,
         raise ValidationError("cumulant sequence too short")
     return run_route("cumulants_to_moments", route, {
         "series": lambda: incidence.zeta_power_conv(cum, 1, order),
-        "enumeration": lambda: incidence.kdivisible_conv(1, cum.prefix(order), None, order),
+        "enumeration": lambda: incidence.zeta_power_conv(cum, 1, order, "iterated"),
     })
 
 
@@ -49,8 +51,7 @@ def moments_to_cumulants(mom: RationalSequence, order: int | None = None,
         raise ValidationError("moment sequence too short")
     return run_route("moments_to_cumulants", route, {
         "series": lambda: incidence.zeta_power_conv(mom, -1, order),
-        "enumeration": lambda: incidence.kdivisible_conv(
-            1, mom.prefix(order), incidence.moebius_family(order), order),
+        "enumeration": lambda: incidence.zeta_power_conv(mom, -1, order, "iterated"),
     })
 
 
@@ -106,37 +107,27 @@ def products_as_arguments(cum: RationalSequence, grouping) -> Fraction:
 def kdiv_power_cumulants(alpha: RationalSequence, k: int, order: int,
                          route: str = "zeta") -> RationalSequence:
     """Cumulants of x^k for a k-divisible x with determining sequence
-    alpha_n = kappa_{kn}(x).
+    alpha_n = kappa_{kn}(x): alpha * zeta^(k-1), one zeta power.
 
-    Three equivalent routes:
-    * "enumeration": kappa_n(x^k) = sum over NC((k-1)n) of the
-      (k-1)-dilated alpha, i.e. a sum over (k-1)-divisible partitions;
-    * "two-stage": the same with one zeta factor peeled off, summing a
-      (k-2)-stage sequence over NC(n);
-    * "zeta" (the default): alpha convolved with zeta (k-1) times, on the
-      series route of zeta_power_conv.
-    The first two walk the partition-type histograms.
+    Three equivalent routes, each on incidence.zeta_power_conv:
+    * "enumeration": the k-divisible cumulant formula, a sum over the
+      (k-1)-divisible partitions of NC((k-1)n), its "dilated" walk;
+    * "two-stage": the "dilated" walk at k-2, then one "iterated" zeta
+      factor, a walk over NC(n);
+    * "zeta" (the default): its "series" route.
+    At k = 1 every route is alpha itself.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
+    routes = {
+        "enumeration": lambda: incidence.zeta_power_conv(alpha, k - 1, order, "dilated"),
+        "two-stage": lambda: incidence.zeta_power_conv(
+            incidence.zeta_power_conv(alpha, k - 2, order, "dilated"), 1, order, "iterated"),
+        "zeta": lambda: incidence.zeta_power_conv(alpha, k - 1, order),
+    }
     if k == 1:
-        return alpha.prefix(order)
-    if alpha.order < order:
-        raise ValidationError("determining sequence too short")
-
-    def divisible_sum(j: int) -> RationalSequence:
-        return incidence.kdivisible_conv(j, incidence.dilate(alpha.prefix(order), j),
-                                         None, order)
-
-    def two_stage() -> RationalSequence:
-        beta = alpha.prefix(order) if k == 2 else divisible_sum(k - 2)
-        return cumulants_to_moments(beta, order, route="enumeration")
-
-    return run_route("kdiv_power_cumulants", route, {
-        "enumeration": lambda: divisible_sum(k - 1),
-        "two-stage": two_stage,
-        "zeta": lambda: incidence.zeta_power_conv(alpha.prefix(order), k - 1, order),
-    })
+        routes = dict.fromkeys(routes, lambda: alpha.prefix(order))
+    return run_route("kdiv_power_cumulants", route, routes)
 
 
 # ---------------------------------------------------------------------------

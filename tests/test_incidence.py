@@ -212,6 +212,14 @@ def test_negative_zeta_power_routes_agree_and_invert(g, k):
     assert inc.zeta_power_conv(inc.zeta_power_conv(g, k, order), -k, order) == g
 
 
+def test_dilated_zeta_power_walks_nc_k_not_nc_of_k_times_n():
+    # NC^3(6), not NC(18): the undilating walk went over the NC(16) budget
+    g = RationalSequence([1, -2, 0, 3, Fraction(1, 2), 5])
+    for k in (3, -3):
+        assert (inc.zeta_power_conv(g, k, 6, route="dilated")
+                == inc.zeta_power_conv(g, k, 6, route="series"))
+
+
 def test_zeta_power_edge_cases():
     g = RationalSequence([2, 3, 4])
     assert inc.zeta_power_conv(g, 0, 3) == g

@@ -386,18 +386,24 @@ def test_xk_of_kdivisible_poisson_alpha():
 
 
 def test_xk_of_kdivisible_checks_the_kdivisible_cumulant_formula(monkeypatch):
-    # the "power" side must walk the k-divisible partitions: on the zeta
-    # route it would be the "poisson" side's zeta power once more
-    routes = []
-    real = tr.kdiv_power_cumulants
+    # the zeta power alpha * zeta^(k-1) runs every route; its "dilated"
+    # route is the k-divisible cumulant formula, a walk of NC^(k-1)(n)
+    powers, walked = [], set()
+    real_power, real_stats = inc.zeta_power_conv, inc.kdivisible_pair_stats
 
-    def spy(*args, route="zeta"):
-        routes.append(route)
-        return real(*args, route=route)
+    def spy_power(g, k, order, route="series"):
+        powers.append((k, route))
+        return real_power(g, k, order, route=route)
 
-    monkeypatch.setattr(tr, "kdiv_power_cumulants", spy)
+    def spy_stats(k, n):
+        walked.add(k)
+        return real_stats(k, n)
+
+    monkeypatch.setattr(inc, "zeta_power_conv", spy_power)
+    monkeypatch.setattr(inc, "kdivisible_pair_stats", spy_stats)
     ksym.xk_of_kdivisible(RationalSequence.constant(1, 4), 3, 4)
-    assert routes == ["enumeration"]
+    assert [route for k, route in powers if k == 2] == ["both"]
+    assert walked == {1, 2}
 
 
 def test_xk_rejects_signed_alpha():

@@ -1,6 +1,7 @@
 """The route dispatcher: one helper behind every `route` argument."""
 
 import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,48 @@ def test_series_routes_never_walk_and_enumeration_routes_never_invert(name, monk
         patch.setattr(series, "_lagrange", _refuse)
         for route in enumeration_routes:
             assert call(route) == want
+
+
+TRIVIAL = {
+    "zeta_power_conv at k = 0": (lambda route: incidence.zeta_power_conv(SEQ, 0, 5, route=route),
+                                 ["series", "iterated", "dilated"], SEQ.prefix(5)),
+    "kdiv_power_cumulants at k = 1": (
+        lambda route: transforms.kdiv_power_cumulants(SEQ, 1, 5, route=route),
+        ["enumeration", "two-stage", "zeta"], SEQ.prefix(5)),
+    "kdiv_power_cumulants at k = 1, past the walk budget": (
+        lambda route: transforms.kdiv_power_cumulants(
+            RationalSequence.constant(2, 20), 1, 20, route=route),
+        ["enumeration", "two-stage", "zeta"], RationalSequence.constant(2, 20)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIVIAL))
+def test_the_trivial_power_checks_the_route_and_neither_walks_nor_solves(name, monkeypatch):
+    call, routes, want = TRIVIAL[name]
+    with pytest.raises(ValidationError, match="unknown route 'bogus'"):
+        call("bogus")
+    monkeypatch.setattr(incidence, "kdivisible_pair_stats", _refuse)
+    monkeypatch.setattr(series, "_lagrange", _refuse)
+    for route in [*routes, "both"]:
+        assert call(route) == want
+
+
+def test_every_zeta_power_walk_goes_through_zeta_power_conv(monkeypatch):
+    callers = set()
+    real = incidence.kdivisible_conv
+
+    def spy(*args):
+        callers.add(sys._getframe(1).f_code.co_qualname)
+        return real(*args)
+
+    monkeypatch.setattr(incidence, "kdivisible_conv", spy)
+    for fn in (transforms.cumulants_to_moments, transforms.moments_to_cumulants):
+        fn(SEQ, 5, route="enumeration")
+    for route in ("enumeration", "two-stage"):
+        for k in (2, 3):
+            transforms.kdiv_power_cumulants(ZERO_LED, k, 3, route=route)
+    ksym.xk_of_kdivisible(POSITIVE, 3, 3)
+    assert callers == {"zeta_power_conv.<locals>.walk"}
 
 
 def test_defaults_are_the_series_routes():
