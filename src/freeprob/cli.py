@@ -19,10 +19,33 @@ import importlib.util
 import json
 import os
 import sys
+import threading
+import types
 from fractions import Fraction
 
 from .errors import ResourceLimitError, ValidationError
 from .sequences import RationalSequence, _decimal_str, frac_to_str
+
+
+_LOADING = threading.RLock()
+
+
+class _Unloaded(types.ModuleType):
+    """A layer module whose code has not run yet.  The first attribute
+    access runs it, once, under a lock: a thread that comes while another
+    thread runs it waits, instead of reading a half-filled module."""
+
+    def __getattribute__(self, name):
+        with _LOADING:
+            if type(self) is _Unloaded:
+                self.__class__ = _Running  # so that the loader's own reads pass
+                types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, name)
+
+
+class _Running(_Unloaded):
+    """A layer whose code is running; only the running thread gets past the lock."""
 
 
 def _lazy(*names):
@@ -34,11 +57,10 @@ def _lazy(*names):
     for name in names:
         full = f"{__package__}.{name}"
         if full not in sys.modules:
-            spec = importlib.util.find_spec(full)
-            spec.loader = importlib.util.LazyLoader(spec.loader)
-            sys.modules[full] = module = importlib.util.module_from_spec(spec)
+            module = importlib.util.module_from_spec(importlib.util.find_spec(full))
+            module.__class__ = _Unloaded
+            sys.modules[full] = module
             setattr(package, name, module)
-            spec.loader.exec_module(module)
     return [sys.modules[f"{__package__}.{name}"] for name in names]
 
 
@@ -328,11 +350,15 @@ def _matmodel_run(args) -> None:
                                              args.seed))
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=()) -> _Parser:
+    """The grammar for argv: its verb alone when argv[:2] names a declared
+    (group, verb), else every verb, so that a bad group or verb lists the
+    choices."""
     top = _Parser(prog="freeprob", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
     verbs = {}
-    for group, name, options, handler in _VERBS:
+    named = [v for v in _VERBS if list(v[:2]) == list(argv[:2])]
+    for group, name, options, handler in named or _VERBS:
         if group not in verbs:
             verbs[group] = groups.add_parser(group).add_subparsers(dest="verb", required=True)
         p = verbs[group].add_parser(name)
@@ -345,7 +371,7 @@ def build_parser() -> _Parser:
 def run(argv) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # exact integers read and print in full
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "decimal", None) is not None and args.format == "csv":

@@ -14,16 +14,19 @@ any integer t, one Lagrange inversion since F(g^{*t}) = F(g)^t, even
 when a leading entry is zero; a zeta power g * zeta^k is the A with
 A = B(z A^k), B = 1 + g(z).  Both cost polynomial time.
 
-The walk is the test oracle.  It never walks NC(n): a per-n histogram
-keyed by the pair (block sizes of pi, block sizes of Kr(pi)) is built
-once from its closed form and cached (enumerating NC^k(n) is the tests'
-oracle for it), collapsing the Catalan-sized sum to a sum over
-partition-type pairs with integer multiplicities.  Only
-`kdivisible_conv`, the convolution in the lattice of k-divisible
-partitions, reads these histograms; its k = 1 case is the walk for
-`conv`.  FREEPROB_MAX_N bounds only these walks, through the
-enumeration budget of `ncpart`.  `ksym` builds every k-symmetric law
-on the series zeta power: k convolutions with zeta in NC are one in NC^k.
+The walk is the test oracle.  It never walks NC(n): it sums over
+partition types with integer multiplicities, each count built once from
+its closed form and cached (enumerating NC^k(n) is the tests' oracle
+for them), so the Catalan-sized sum collapses to a sum over types.
+With zeta on the right, entry n depends only on the type of pi, and
+Kreweras' count of the partitions of each type is the whole weight;
+otherwise a per-n histogram keyed by the pair (block sizes of pi, block
+sizes of Kr(pi)) is walked.  Only `kdivisible_conv`, the convolution in
+the lattice of k-divisible partitions, reads these counts; its k = 1
+case is the walk for `conv`.  FREEPROB_MAX_N bounds only these walks,
+through the enumeration budget of `ncpart`.  `ksym` builds every
+k-symmetric law on the series zeta power: k convolutions with zeta in NC
+are one in NC^k.
 
 Routes go through `errors.run_route` ("both" runs all and checks that
 they agree): `zeta_power_conv` has "series", "iterated" (|k| walks in
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, perm, prod
 
 from . import ncpart, series
 from .errors import ValidationError, run_route
@@ -43,6 +46,7 @@ from .sequences import RationalSequence
 from .series import PowerSeries
 
 _pair_stats: dict = {}
+_type_count_cache: dict = {}
 
 
 def _types(total: int, parts: int):
@@ -60,21 +64,27 @@ def _aut(sizes: tuple) -> int:
     return prod(factorial(c) for c in Counter(sizes).values())
 
 
+def _admit(k: int, n: int) -> None:
+    # the validation and budget of a walk of NC^k(n), as iter_kdivisible_blocks has them
+    if k < 1 or n < 1:
+        raise ValidationError("k and n must be >= 1")
+    ncpart._check_budget(n, lambda: ncpart.fuss_catalan_kdivisible(k, n), None, f"NC^{k}({n})")
+
+
 def kdivisible_pair_stats(k: int, n: int) -> dict:
     """Histogram {(sizes(pi), sizes(Kr(pi))): count} over the k-divisible
     non-crossing partitions of [N], N = kn (all of NC(n) when k = 1).
 
-    Cached, read only by kdivisible_conv, and built from the closed form
-    N (l(lam)-1)! (l(mu)-1)! / (Aut lam Aut mu) for l(lam) + l(mu) = N + 1
-    (Goulden-Jackson): lam is k times a partition of n, mu - 1 is a
-    partition of l(lam) - 1.  Enumeration is only the test oracle.
+    Cached, read by kdivisible_conv when neither side is zeta, and built
+    from the closed form N (l(lam)-1)! (l(mu)-1)! / (Aut lam Aut mu) for
+    l(lam) + l(mu) = N + 1 (Goulden-Jackson): lam is k times a partition
+    of n, mu - 1 is a partition of l(lam) - 1.  Enumeration is only the
+    test oracle.
     """
     hit = _pair_stats.get((k, n))
     if hit is not None:
         return hit
-    if k < 1 or n < 1:
-        raise ValidationError("k and n must be >= 1")
-    ncpart._check_budget(n, lambda: ncpart.fuss_catalan_kdivisible(k, n), None, f"NC^{k}({n})")
+    _admit(k, n)
     hist = {}
     for nu in _types(n, n):
         lam = tuple(k * s for s in nu)
@@ -85,6 +95,21 @@ def kdivisible_pair_stats(k: int, n: int) -> dict:
             hist[lam, mu] = top // (aut * _aut(mu))
     _pair_stats[(k, n)] = hist
     return hist
+
+
+def _type_counts(k: int, n: int) -> dict:
+    # {sizes(pi): count} over NC^k(n), the lam-marginal of
+    # kdivisible_pair_stats(k, n), cached.  Kreweras: NC(N) has
+    # N! / ((N - l + 1)! Aut lam) partitions of a type lam with l blocks,
+    # and Aut(k nu) = Aut nu.
+    hit = _type_count_cache.get((k, n))
+    if hit is not None:
+        return hit
+    _admit(k, n)
+    counts = {tuple(k * s for s in nu): perm(k * n, len(nu) - 1) // _aut(nu)
+              for nu in _types(n, n)}
+    _type_count_cache[(k, n)] = counts
+    return counts
 
 
 def extend(a: RationalSequence, p: ncpart.Partition) -> Fraction:
@@ -154,28 +179,50 @@ def conv(f: RationalSequence, g: RationalSequence, order: int | None = None,
     return RationalSequence([g1 ** (t * n) * c for n, c in enumerate(lag, start=1)])
 
 
+def _as_integers(a: RationalSequence | None, order: int) -> tuple:
+    # (c, v) with a_s = v[s] / c for integers v[1..order], c the least
+    # common denominator; zeta is (1, None)
+    if a is None:
+        return 1, None
+    vals = a.values[:order]
+    c = lcm(*(x.denominator for x in vals))
+    return c, (None, *(x.numerator * (c // x.denominator) for x in vals))
+
+
 def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | None,
                     order: int) -> RationalSequence:
     """Entry n is the sum over k-divisible pi in NC(kn) of f_pi g_{Kr(pi)},
     n = 1..order; None for f or g stands for the zeta family (all ones).
 
-    Walks the cached (pi, Kr(pi)) type histogram of each n; a zeta side
+    Walks partition types, not partitions.  With zeta on the right, entry n
+    is the sum over nu |- n of f_{k nu} times Kreweras' count of the type
+    k nu; otherwise it walks the cached (pi, Kr(pi)) type histogram of
+    each n.  Each side's product f_lam or g_mu is taken once per type, in
+    integers: a side is scaled to a common denominator c, so that
+    f_lam = f'_lam / c^l(lam), and entry n is one Fraction.  A zeta side
     costs no multiplications.
     """
     if any(a is not None and a.order < k * order for a in (f, g)):
         raise ValidationError("operand order too small for requested convolution order")
-    fv = None if f is None else (None, *f.values)  # fv[s] is f_s
-    gv = None if g is None else (None, *g.values)
+    (cf, fv), (cg, gv) = _as_integers(f, k * order), _as_integers(g, k * order)
     out = []
     for n in range(1, order + 1):
+        if gv is None:
+            weights = _type_counts(k, n)
+        else:
+            weights = {}  # lam: sum over mu of count * g'_mu
+            hist = kdivisible_pair_stats(k, n)
+            g_mu = {mu: prod(gv[s] for s in mu) for _, mu in hist}
+            for (lam, mu), cnt in hist.items():
+                weights[lam] = weights.get(lam, 0) + cnt * g_mu[mu]
+        # f_pi g_{Kr(pi)} = f'_lam g'_mu / (cf^l cg^(kn+1-l)) with l = l(lam) <= n,
+        # so every term is an integer over cf^n cg^(kn)
         total = 0
-        for (spi, skr), cnt in kdivisible_pair_stats(k, n).items():
+        for lam, w in weights.items():
             if fv is not None:
-                cnt *= prod(fv[s] for s in spi)
-            if gv is not None:
-                cnt *= prod(gv[s] for s in skr)
-            total += cnt
-        out.append(total)
+                w *= prod(fv[s] for s in lam)
+            total += w * cf ** (n - len(lam)) * cg ** (len(lam) - 1)
+        out.append(Fraction(total, cf ** n * cg ** (k * n)))
     return RationalSequence(out)
 
 

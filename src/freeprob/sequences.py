@@ -104,6 +104,9 @@ class RationalSequence:
         return f"RationalSequence({list(self._vals)!r})"
 
     def prefix(self, order: int) -> "RationalSequence":
+        """a_1..a_order; a slice would read a negative order from the end."""
+        if order < 1:
+            raise ValidationError("a sequence needs order >= 1")
         if order > len(self._vals):
             raise ValidationError(
                 f"sequence of order {len(self._vals)} cannot be truncated to {order}"

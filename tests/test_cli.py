@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from freeprob import ncpart
+from freeprob import cli, ncpart
 from freeprob.cli import run
 
 
@@ -654,3 +656,26 @@ def test_every_argv_keeps_the_cli_contract(tmp_path, capsys, argv):
     else:
         assert err == ""
     assert run_cli(capsys, *argv) == (code, out, err)
+
+
+def _parse(parser, argv):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
+    except cli.UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    return "parsed", sorted(vars(args))
+
+
+@pytest.mark.parametrize("group,verb", [(group, verb) for group, verb, *_ in cli._VERBS])
+def test_the_parser_built_for_one_verb_reads_it_as_the_full_grammar(group, verb):
+    # run() builds only the verb its argv names; --help and a missing
+    # required option must read the same as with every verb built
+    full = cli.build_parser()
+    for argv in ([group, verb, "--help"], [group, verb]):
+        assert _parse(cli.build_parser(argv), argv) == _parse(full, argv)
+    other = next(v for v in cli._VERBS if v[:2] != (group, verb))
+    assert _parse(cli.build_parser([group, verb]), list(other[:2]))[0] == "usage error"

@@ -73,6 +73,42 @@ def test_a_verb_runs_only_the_layers_it_reaches(tmp_path):
     assert {"run", "main", "build_parser"} <= set(functions["cli"])
 
 
+# Eight threads make the first call into one lazily bound layer at once.
+THREADS = """
+import json, sys, threading
+from freeprob import cli
+from freeprob.sequences import RationalSequence
+
+sys.setswitchinterval(1e-6)
+catalan = RationalSequence([1, 2, 5, 14])
+barrier = threading.Barrier(8)
+outcomes = []
+
+def first_call():
+    barrier.wait()
+    try:
+        outcomes.append(cli.transforms.moments_to_cumulants(catalan, 4).to_json())
+    except Exception as exc:
+        outcomes.append(repr(exc))
+
+threads = [threading.Thread(target=first_call) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+sys.stderr.write(json.dumps({"alive": sum(t.is_alive() for t in threads),
+                             "outcomes": outcomes}))
+"""
+
+
+def test_a_layer_loads_once_while_other_threads_wait():
+    child = _child("-c", THREADS)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stderr)
+    assert report["alive"] == 0
+    assert report["outcomes"] == [["1/1", "1/1", "1/1", "1/1"]] * 8
+
+
 def test_the_entry_point_prints_what_run_prints(tmp_path, capsys):
     # one argv per verb group, each through a real interpreter start
     catalan = tmp_path / "catalan.json"

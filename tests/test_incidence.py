@@ -299,11 +299,13 @@ def test_concurrent_cache_initialization_is_consistent():
     import threading
 
     inc._pair_stats.pop((1, 9), None)
+    inc._type_count_cache.pop((1, 9), None)
     results = []
 
     def work():
         z = inc.zeta_family(9)
-        results.append(inc.kdivisible_conv(1, z, None, 9))
+        results.append(inc.kdivisible_conv(1, z, None, 9))  # the type counts
+        results.append(inc.kdivisible_conv(1, None, z, 9))  # the pair histogram
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     for t in threads:
@@ -394,3 +396,48 @@ def test_pair_stats_keep_the_validation_and_the_budget():
         inc.kdivisible_pair_stats(0, 3)
     with pytest.raises(ResourceLimitError, match=r"NC\^1\(17\) would enumerate"):
         inc.kdivisible_pair_stats(1, 17)
+
+
+@pytest.mark.parametrize("k,top", [(1, 11), (2, 6), (3, 5), (4, 4), (5, 3)])
+def test_type_counts_are_the_marginal_of_the_enumerated_pair_stats(k, top):
+    # Kreweras' count of each type, without the pair histogram
+    for n in range(1, top + 1):
+        marginal = {}
+        for (lam, _), cnt in pair_stats_by_enumeration(k, n).items():
+            marginal[lam] = marginal.get(lam, 0) + cnt
+        inc._type_count_cache.pop((k, n), None)
+        assert inc._type_counts(k, n) == marginal
+
+
+def test_a_zeta_side_walk_reads_no_pair_stats(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a walk with zeta on the right read the pair histogram")
+    monkeypatch.setattr(inc, "kdivisible_pair_stats", refuse)
+    g = RationalSequence([Fraction(1, 2), -3, 0, Fraction(5, 7)] * 4)
+    assert inc.kdivisible_conv(1, g, None, 16) == inc.zeta_power_conv(g, 1, 16)
+    assert list(inc.kdivisible_conv(4, None, None, 4)) == [
+        nc.fuss_catalan_kdivisible(4, n) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("k", [-4, -3, -2, -1, 1, 2, 3, 4])
+def test_the_walks_equal_the_series_route(k):
+    order = 12 // abs(k)
+    plain = RationalSequence([Fraction(3, 2), -1, Fraction(2, 5), 0, 7, Fraction(-1, 3),
+                              1, 2, Fraction(1, 9), -4, 5, Fraction(6, 11)][:order])
+    inputs = [plain, _zero_led(plain, True), inc.dilate(plain, 2).prefix(order)]
+    for g in inputs:
+        want = inc.zeta_power_conv(g, k, order, route="series")
+        for route in ("iterated", "dilated", "both"):
+            assert inc.zeta_power_conv(g, k, order, route=route) == want, (g, route)
+
+
+def test_a_zeta_side_walk_keeps_the_budget_and_the_errors():
+    g = inc.zeta_family(17)
+    with pytest.raises(ResourceLimitError, match=r"NC\^1\(17\) would enumerate"):
+        inc.kdivisible_conv(1, g, None, 17)
+    with pytest.raises(ResourceLimitError, match=r"NC\^1\(17\) would enumerate"):
+        inc.kdivisible_conv(1, None, None, 17)
+    with pytest.raises(ValidationError, match="k and n must be >= 1"):
+        inc.kdivisible_conv(0, g, None, 3)
+    with pytest.raises(ValidationError, match="operand order too small"):
+        inc.kdivisible_conv(2, g.prefix(5), None, 3)

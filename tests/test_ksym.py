@@ -387,20 +387,21 @@ def test_xk_of_kdivisible_poisson_alpha():
 
 def test_xk_of_kdivisible_checks_the_kdivisible_cumulant_formula(monkeypatch):
     # the zeta power alpha * zeta^(k-1) runs every route; its "dilated"
-    # route is the k-divisible cumulant formula, a walk of NC^(k-1)(n)
+    # route is the k-divisible cumulant formula, a walk of NC^(k-1)(n),
+    # which with zeta on the right reads the type counts of NC^(k-1)(n)
     powers, walked = [], set()
-    real_power, real_stats = inc.zeta_power_conv, inc.kdivisible_pair_stats
+    real_power, real_counts = inc.zeta_power_conv, inc._type_counts
 
     def spy_power(g, k, order, route="series"):
         powers.append((k, route))
         return real_power(g, k, order, route=route)
 
-    def spy_stats(k, n):
+    def spy_counts(k, n):
         walked.add(k)
-        return real_stats(k, n)
+        return real_counts(k, n)
 
     monkeypatch.setattr(inc, "zeta_power_conv", spy_power)
-    monkeypatch.setattr(inc, "kdivisible_pair_stats", spy_stats)
+    monkeypatch.setattr(inc, "_type_counts", spy_counts)
     ksym.xk_of_kdivisible(RationalSequence.constant(1, 4), 3, 4)
     assert [route for k, route in powers if k == 2] == ["both"]
     assert walked == {1, 2}

@@ -129,6 +129,7 @@ def test_series_routes_never_walk_and_enumeration_routes_never_invert(name, monk
         assert call(route) == want
     with monkeypatch.context() as patch:
         patch.setattr(incidence, "kdivisible_pair_stats", _refuse)
+        patch.setattr(incidence, "_type_counts", _refuse)
         for route in series_routes:
             assert call(route) == want
     with monkeypatch.context() as patch:
@@ -156,9 +157,28 @@ def test_the_trivial_power_checks_the_route_and_neither_walks_nor_solves(name, m
     with pytest.raises(ValidationError, match="unknown route 'bogus'"):
         call("bogus")
     monkeypatch.setattr(incidence, "kdivisible_pair_stats", _refuse)
+    monkeypatch.setattr(incidence, "_type_counts", _refuse)
     monkeypatch.setattr(series, "_lagrange", _refuse)
     for route in [*routes, "both"]:
         assert call(route) == want
+
+
+# the trivial powers return a prefix of the input, which must not read a
+# negative order from the end of the sequence
+NEGATIVE_ORDER = {
+    "zeta_power_conv at k = 0": (lambda route: incidence.zeta_power_conv(SEQ, 0, -1, route=route),
+                                 ["series", "iterated", "dilated", "both"]),
+    "kdiv_power_cumulants at k = 1": (
+        lambda route: transforms.kdiv_power_cumulants(SEQ, 1, -1, route=route),
+        ["enumeration", "two-stage", "zeta", "both"]),
+}
+
+
+@pytest.mark.parametrize("name,route", [(name, route) for name, (_, routes) in
+                                        sorted(NEGATIVE_ORDER.items()) for route in routes])
+def test_the_trivial_power_rejects_a_negative_order(name, route):
+    with pytest.raises(ValidationError, match="order >= 1"):
+        NEGATIVE_ORDER[name][0](route)
 
 
 def test_every_zeta_power_walk_goes_through_zeta_power_conv(monkeypatch):
