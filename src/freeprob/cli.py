@@ -39,7 +39,11 @@ class _Unloaded(types.ModuleType):
         with _LOADING:
             if type(self) is _Unloaded:
                 self.__class__ = _Running  # so that the loader's own reads pass
-                types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                try:
+                    types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                except BaseException:
+                    self.__class__ = _Unloaded  # the next access runs it again
+                    raise
                 self.__class__ = types.ModuleType
         return types.ModuleType.__getattribute__(self, name)
 

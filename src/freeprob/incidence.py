@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, lcm, perm, prod
+from math import factorial, perm, prod
 
 from . import ncpart, series
 from .errors import ValidationError, run_route
@@ -179,16 +179,6 @@ def conv(f: RationalSequence, g: RationalSequence, order: int | None = None,
     return RationalSequence([g1 ** (t * n) * c for n, c in enumerate(lag, start=1)])
 
 
-def _as_integers(a: RationalSequence | None, order: int) -> tuple:
-    # (c, v) with a_s = v[s] / c for integers v[1..order], c the least
-    # common denominator; zeta is (1, None)
-    if a is None:
-        return 1, None
-    vals = a.values[:order]
-    c = lcm(*(x.denominator for x in vals))
-    return c, (None, *(x.numerator * (c // x.denominator) for x in vals))
-
-
 def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | None,
                     order: int) -> RationalSequence:
     """Entry n is the sum over k-divisible pi in NC(kn) of f_pi g_{Kr(pi)},
@@ -197,32 +187,29 @@ def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | No
     Walks partition types, not partitions.  With zeta on the right, entry n
     is the sum over nu |- n of f_{k nu} times Kreweras' count of the type
     k nu; otherwise it walks the cached (pi, Kr(pi)) type histogram of
-    each n.  Each side's product f_lam or g_mu is taken once per type, in
-    integers: a side is scaled to a common denominator c, so that
-    f_lam = f'_lam / c^l(lam), and entry n is one Fraction.  A zeta side
-    costs no multiplications.
+    each n.  Each side's product f_lam or g_mu is taken once per type; a
+    zeta side costs no multiplications.
     """
     if any(a is not None and a.order < k * order for a in (f, g)):
         raise ValidationError("operand order too small for requested convolution order")
-    (cf, fv), (cg, gv) = _as_integers(f, k * order), _as_integers(g, k * order)
+    fv = None if f is None else (None, *f.values)  # fv[s] is f_s
+    gv = None if g is None else (None, *g.values)
     out = []
     for n in range(1, order + 1):
         if gv is None:
             weights = _type_counts(k, n)
         else:
-            weights = {}  # lam: sum over mu of count * g'_mu
+            weights = {}  # lam: sum over mu of count * g_mu
             hist = kdivisible_pair_stats(k, n)
             g_mu = {mu: prod(gv[s] for s in mu) for _, mu in hist}
             for (lam, mu), cnt in hist.items():
                 weights[lam] = weights.get(lam, 0) + cnt * g_mu[mu]
-        # f_pi g_{Kr(pi)} = f'_lam g'_mu / (cf^l cg^(kn+1-l)) with l = l(lam) <= n,
-        # so every term is an integer over cf^n cg^(kn)
         total = 0
         for lam, w in weights.items():
             if fv is not None:
                 w *= prod(fv[s] for s in lam)
-            total += w * cf ** (n - len(lam)) * cg ** (len(lam) - 1)
-        out.append(Fraction(total, cf ** n * cg ** (k * n)))
+            total += w
+        out.append(total)
     return RationalSequence(out)
 
 

@@ -109,6 +109,42 @@ def test_a_layer_loads_once_while_other_threads_wait():
     assert report["outcomes"] == [["1/1", "1/1", "1/1", "1/1"]] * 8
 
 
+# A layer whose first load fails stays unloaded: every access runs it
+# again, as a retried import would, until a load succeeds.
+FAILED_LOAD = """
+import json, sys, types
+from freeprob import cli
+
+layer = sys.modules["freeprob.matmodel"]
+spec = types.ModuleType.__getattribute__(layer, "__spec__")
+real, broken = spec.loader, [True]
+
+class Flaky:
+    def exec_module(self, module):
+        if broken[0]:
+            raise ImportError("the layer failed to load")
+        real.exec_module(module)
+
+spec.loader = Flaky()
+outcomes = []
+for fix in (False, False, True):
+    broken[0] = not fix
+    try:
+        outcomes.append(cli.matmodel.sample_kcycle.__name__)
+    except Exception as exc:
+        outcomes.append(type(exc).__name__)
+    outcomes.append(type(layer).__name__)
+sys.stderr.write(json.dumps(outcomes))
+"""
+
+
+def test_a_layer_whose_load_failed_loads_again_on_the_next_access():
+    child = _child("-c", FAILED_LOAD)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stderr) == ["ImportError", "_Unloaded", "ImportError", "_Unloaded",
+                                        "sample_kcycle", "module"]
+
+
 def test_the_entry_point_prints_what_run_prints(tmp_path, capsys):
     # one argv per verb group, each through a real interpreter start
     catalan = tmp_path / "catalan.json"
