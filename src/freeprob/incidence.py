@@ -149,6 +149,8 @@ def conv(f: RationalSequence, g: RationalSequence, order: int | None = None,
     kdivisible_conv(1, f, g, order) is the walk over NC(n) that the tests
     hold it against.
     """
+    if not isinstance(t, int):
+        raise ValidationError(f"the convolution power t must be an integer, not {t!r}")
     if order is None:
         order = min(f.order, g.order)
     if min(f.order, g.order) < order:

@@ -215,6 +215,8 @@ def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
     partition types and needs moments up to k*order; "both" checks
     agreement.
     """
+    if not isinstance(k, int):
+        raise ValidationError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ValidationError("k must be >= 1")
     if not transforms.hankel_check(mu.prefix(min(mu.order, 2 * order)), stieltjes=True):

@@ -6,11 +6,13 @@ far their result stays valid.  A PuiseuxSeries is a truncated Laurent
 series in w = z^(1/ram) whose exponents may be negative; it carries the
 window [lo, hi] of w-exponents on which its coefficients are exact.
 
-Every product of two series goes through mul.  Every power comes from
-one J.C.P. Miller recurrence, _miller: power takes any integer exponent
-and is not built on mul.  The Puiseux operations (puiseux_mul,
-puiseux_pow, from_power_series) only track the ramification ram and the
-window lo..hi and hand the coefficients to those kernels.
+Every product of two series goes through mul, and compose sums a_i b^i
+itself; both multiply integer numerators over one common denominator, so
+an output coefficient costs one gcd.  Every power comes from one J.C.P.
+Miller recurrence, _miller: power takes any integer exponent and is not
+built on mul.  The Puiseux operations (puiseux_mul, puiseux_pow,
+from_power_series) only track the ramification ram and the window lo..hi
+and hand the coefficients to those kernels.
 
 Every series inverse and functional-equation solve (comp_inverse,
 frac_inverse, solve_A_given_B) runs on one Lagrange inversion core,
@@ -84,16 +86,8 @@ class PowerSeries:
 def mul(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSeries:
     if order is None:
         order = min(a.order, b.order)
-    out = [Fraction(0)] * (order + 1)
-    for i, ca in enumerate(a.coeffs):
-        if i > order:
-            break
-        if ca == 0:
-            continue
-        top = min(order - i, b.order)
-        for j in range(top + 1):
-            out[i + j] += ca * b.coeffs[j]
-    return PowerSeries(out)
+    (na, da), (nb, db) = _scaled(a, order), _scaled(b, order)
+    return PowerSeries([Fraction(x, da * db) for x in _imul(na, nb, order)])
 
 
 def compose(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSeries:
@@ -102,20 +96,46 @@ def compose(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSe
         raise ValidationError("composition needs the inner series to vanish at 0")
     if order is None:
         order = min(a.order, b.order)
-    # sum of a_i b^i: b^i vanishes below z^i, which mul skips
-    out = [a[0]] + [Fraction(0)] * order
-    pw = PowerSeries.one(order)
-    for i in range(1, min(a.order, order) + 1):
-        pw = mul(pw, b, order)
-        if a[i]:
+    # sum A_i B^i d_b^(top-i) over d_a d_b^top; B^i vanishes below z^i, which _imul skips
+    top = min(a.order, order)
+    (na, da), (nb, db) = _scaled(a, top), _scaled(b, order)
+    out = [na[0] * db ** top] + [0] * order
+    pw = [1]
+    for i in range(1, top + 1):
+        pw = _imul(pw, nb, order)
+        if na[i]:
+            s = na[i] * db ** (top - i)
             for j in range(i, order + 1):
-                out[j] += a[i] * pw.coeffs[j]
-    return PowerSeries(out)
+                out[j] += s * pw[j]
+    d = da * db ** top
+    return PowerSeries([Fraction(x, d) for x in out])
+
+
+def _scaled(a: PowerSeries, top: int) -> tuple:
+    """Integer numerators of a_0..a_top over their least common denominator."""
+    c = a.coeffs[:top + 1]
+    d = math.lcm(*(x.denominator for x in c))
+    return [x.numerator * (d // x.denominator) for x in c], d
+
+
+def _imul(a: list, b: list, order: int) -> list:
+    """Integer product of coefficient lists through z^order, zeros skipped."""
+    out = [0] * (order + 1)
+    bs = [(j, y) for j, y in enumerate(b[:order + 1]) if y]
+    for i, x in enumerate(a[:order + 1]):
+        if x:
+            for j, y in bs:
+                if i + j > order:
+                    break
+                out[i + j] += x * y
+    return out
 
 
 def power(a: PowerSeries, e: int, order: int | None = None) -> PowerSeries:
     """a^e to order for any integer e (e < 0 needs a_0 != 0), a read as a
     polynomial: a = c z^v u with u(0) = 1 gives c^e z^(ev) _miller(u, e)."""
+    if not isinstance(e, int):
+        raise ValidationError(f"a series power needs an integer exponent, not {e!r}")
     if order is None:
         order = a.order
     v = next((i for i, c in enumerate(a.coeffs) if c), None)

@@ -49,6 +49,39 @@ def geometric(order: int) -> PowerSeries:
     return PowerSeries([1] * (order + 1))
 
 
+def mul_by_fractions(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSeries:
+    """The product loop on Fraction coefficients; oracle for series.mul."""
+    if order is None:
+        order = min(a.order, b.order)
+    out = [Fraction(0)] * (order + 1)
+    for i, ca in enumerate(a.coeffs):
+        if i > order:
+            break
+        if ca == 0:
+            continue
+        top = min(order - i, b.order)
+        for j in range(top + 1):
+            out[i + j] += ca * b.coeffs[j]
+    return PowerSeries(out)
+
+
+def compose_by_fractions(a: PowerSeries, b: PowerSeries,
+                         order: int | None = None) -> PowerSeries:
+    """sum a_i b^i on Fraction coefficients; oracle for series.compose."""
+    if b[0] != 0:
+        raise ValidationError("composition needs the inner series to vanish at 0")
+    if order is None:
+        order = min(a.order, b.order)
+    out = [a[0]] + [Fraction(0)] * order
+    pw = PowerSeries.one(order)
+    for i in range(1, min(a.order, order) + 1):
+        pw = mul_by_fractions(pw, b, order)
+        if a[i]:
+            for j in range(i, order + 1):
+                out[j] += a[i] * pw.coeffs[j]
+    return PowerSeries(out)
+
+
 def multichain_count_enumerated(length: int, n: int) -> int:
     """Count weakly increasing `length`-tuples in NC(n) straight from the
     order relation (dynamic programming over the poset); oracle for the

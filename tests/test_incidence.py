@@ -182,6 +182,14 @@ def test_conv_with_a_zeta_power_matches_the_zeta_power_kernel(g, order):
         assert inc.conv(g, zeta, order, k) == inc.zeta_power_conv(g, k, order)
 
 
+def test_conv_rejects_a_power_that_is_not_an_integer():
+    # g_1 ** (t * n) with a float or Fraction t used to round the result
+    f, g = RationalSequence([1, 2, 3]), RationalSequence([Fraction(1, 3), 1, 1])
+    for t in (2.0, Fraction(3, 2), Fraction(2), 0.0):
+        with pytest.raises(ValidationError, match="t must be an integer"):
+            inc.conv(f, g, 3, t)
+
+
 def test_conv_and_the_walk_share_the_operand_order_check():
     f, g = RationalSequence([1, 2, 3]), RationalSequence([1, 1, 1, 1])
     for run in (inc.conv, lambda f, g, order: inc.kdivisible_conv(1, f, g, order)):

@@ -432,6 +432,14 @@ def test_boxtimes_power_needs_k_at_least_one():
                 ksym.boxtimes_power_moments(mu, k, 4, route=route)
 
 
+def test_boxtimes_power_rejects_a_power_that_is_not_an_integer():
+    mu = tr.atomic_moments([(1, Fraction(1, 2)), (3, Fraction(1, 2))], 8)
+    for k in (Fraction(3, 2), 2.5, 2.0):
+        for route in ("series", "enumeration", "both"):
+            with pytest.raises(ValidationError, match="k must be an integer"):
+                ksym.boxtimes_power_moments(mu, k, 4, route=route)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6),
        st.lists(st.tuples(positive_rationals, st.integers(min_value=1, max_value=5)),

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeprob import ncpart as nc
@@ -11,7 +11,7 @@ from freeprob import transforms as tr
 from freeprob.errors import IrrationalRootError, ValidationError
 from freeprob.sequences import RationalSequence
 from freeprob.series import PowerSeries, PuiseuxSeries
-from oracles import check_pair, geometric
+from oracles import check_pair, compose_by_fractions, geometric, mul_by_fractions
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -56,6 +56,39 @@ def test_compose_examples():
         PowerSeries([1, 2, 0])
     with pytest.raises(ValidationError):
         se.compose(a, PowerSeries([1, 1] + [0] * 7), n)
+
+
+# zeros, negatives and denominators up to 10^6; lengths below and past the order
+wide = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                                     max_denominator=10 ** 6))
+wide_series = st.builds(lambda zeros, tail: PowerSeries([0] * zeros + tail),
+                        st.integers(min_value=0, max_value=3),
+                        st.lists(wide, min_size=1, max_size=9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_series, wide_series, st.one_of(st.none(), st.integers(min_value=0, max_value=12)))
+@example(PowerSeries([Fraction(-3, 7)]), PowerSeries([Fraction(5, 999983)]), None)
+@example(PowerSeries([Fraction(-3, 7)]), PowerSeries([0, Fraction(1, 2), 7]), 3)
+@example(PowerSeries([Fraction(1, 2), Fraction(-2, 3), 0, 7]), PowerSeries([0, 5, 1]), 0)
+def test_integer_products_match_the_fraction_loops(a, b, order):
+    got = se.mul(a, b, order)
+    assert got == mul_by_fractions(a, b, order) and all_fractions(got.coeffs)
+    inner = PowerSeries([0, *b.coeffs])
+    got = se.compose(a, inner, order)
+    assert got == compose_by_fractions(a, inner, order) and all_fractions(got.coeffs)
+    if b[0]:
+        with pytest.raises(ValidationError, match="inner series to vanish"):
+            se.compose(a, b, order)
+
+
+def test_power_rejects_an_exponent_that_is_not_an_integer():
+    a = PowerSeries([3, 1, 1])
+    for e in (Fraction(1, 2), 2.0, Fraction(2)):
+        with pytest.raises(ValidationError, match="needs an integer exponent"):
+            se.power(a, e, 3)
+    with pytest.raises(ValidationError, match="needs an integer exponent"):
+        se.puiseux_pow(PuiseuxSeries(1, 0, a.coeffs), 1.5)
 
 
 def test_comp_inverse_known_series():
