@@ -15,18 +15,17 @@ when a leading entry is zero; a zeta power g * zeta^k is the A with
 A = B(z A^k), B = 1 + g(z).  Both cost polynomial time.
 
 The walk is the test oracle.  It never walks NC(n): it sums over
-partition types with integer multiplicities, each count built once from
-its closed form and cached (enumerating NC^k(n) is the tests' oracle
-for them), so the Catalan-sized sum collapses to a sum over types.
-With zeta on the right, entry n depends only on the type of pi, and
-Kreweras' count of the partitions of each type is the whole weight;
-otherwise a per-n histogram keyed by the pair (block sizes of pi, block
-sizes of Kr(pi)) is walked.  Only `kdivisible_conv`, the convolution in
-the lattice of k-divisible partitions, reads these counts; its k = 1
-case is the walk for `conv`.  FREEPROB_MAX_N bounds only these walks,
-through the enumeration budget of `ncpart`.  `ksym` builds every
-k-symmetric law on the series zeta power: k convolutions with zeta in NC
-are one in NC^k.
+partition types, each weighted by Kreweras' cached closed-form count
+(enumerating NC^k(n) is the tests' oracle for them), so the
+Catalan-sized sum collapses to a sum over types.  The Goulden-Jackson
+count of pi of type lam with Kr(pi) of type mu factors, so the right
+side enters only through one mean per block count of Kr(pi), and with
+zeta on the right that mean is 1.  Only `kdivisible_conv`, the
+convolution in the lattice of k-divisible partitions, reads these
+counts; its k = 1 case is the walk for `conv`.  FREEPROB_MAX_N bounds
+only these walks, through the enumeration budget of `ncpart`.  `ksym`
+builds every k-symmetric law on the series zeta power: k convolutions
+with zeta in NC are one in NC^k.
 
 Routes go through `errors.run_route` ("both" runs all and checks that
 they agree): `zeta_power_conv` has "series", "iterated" (|k| walks in
@@ -38,14 +37,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 
 from . import ncpart, series
 from .errors import ValidationError, run_route
 from .sequences import RationalSequence
 from .series import PowerSeries
 
-_pair_stats: dict = {}
 _type_count_cache: dict = {}
 
 
@@ -71,35 +69,8 @@ def _admit(k: int, n: int) -> None:
     ncpart._check_budget(n, lambda: ncpart.fuss_catalan_kdivisible(k, n), None, f"NC^{k}({n})")
 
 
-def kdivisible_pair_stats(k: int, n: int) -> dict:
-    """Histogram {(sizes(pi), sizes(Kr(pi))): count} over the k-divisible
-    non-crossing partitions of [N], N = kn (all of NC(n) when k = 1).
-
-    Cached, read by kdivisible_conv when neither side is zeta, and built
-    from the closed form N (l(lam)-1)! (l(mu)-1)! / (Aut lam Aut mu) for
-    l(lam) + l(mu) = N + 1 (Goulden-Jackson): lam is k times a partition
-    of n, mu - 1 is a partition of l(lam) - 1.  Enumeration is only the
-    test oracle.
-    """
-    hit = _pair_stats.get((k, n))
-    if hit is not None:
-        return hit
-    _admit(k, n)
-    hist = {}
-    for nu in _types(n, n):
-        lam = tuple(k * s for s in nu)
-        blocks = k * n + 1 - len(lam)  # of Kr(pi)
-        top, aut = k * n * factorial(len(lam) - 1) * factorial(blocks - 1), _aut(lam)
-        for rho in _types(len(lam) - 1, blocks):
-            mu = tuple(s + 1 for s in rho) + (1,) * (blocks - len(rho))
-            hist[lam, mu] = top // (aut * _aut(mu))
-    _pair_stats[(k, n)] = hist
-    return hist
-
-
 def _type_counts(k: int, n: int) -> dict:
-    # {sizes(pi): count} over NC^k(n), the lam-marginal of
-    # kdivisible_pair_stats(k, n), cached.  Kreweras: NC(N) has
+    # {sizes(pi): count} over NC^k(n), cached.  Kreweras: NC(N) has
     # N! / ((N - l + 1)! Aut lam) partitions of a type lam with l blocks,
     # and Aut(k nu) = Aut nu.
     hit = _type_count_cache.get((k, n))
@@ -186,26 +157,33 @@ def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | No
     """Entry n is the sum over k-divisible pi in NC(kn) of f_pi g_{Kr(pi)},
     n = 1..order; None for f or g stands for the zeta family (all ones).
 
-    Walks partition types, not partitions.  With zeta on the right, entry n
-    is the sum over nu |- n of f_{k nu} times Kreweras' count of the type
-    k nu; otherwise it walks the cached (pi, Kr(pi)) type histogram of
-    each n.  Each side's product f_lam or g_mu is taken once per type; a
-    zeta side costs no multiplications.
+    Walks partition types, not partitions: entry n is the sum over
+    lam = k nu, nu |- n, of Kreweras' count of lam, f_lam and the mean of
+    g_mu over the types mu of Kr(pi).  Goulden-Jackson: N c(lam) c(mu) such
+    pi have Kr(pi) of type mu, c(t) = (l(t) - 1)! / Aut t, so Kr(pi) takes
+    the type of each composition of N = kn into L = N + 1 - l(lam) parts
+    equally often: the mean depends on L alone and is taken once per L, and
+    with zeta on the right it is 1.
     """
     if any(a is not None and a.order < k * order for a in (f, g)):
         raise ValidationError("operand order too small for requested convolution order")
     fv = None if f is None else (None, *f.values)  # fv[s] is f_s
-    gv = None if g is None else (None, *g.values)
+    if g is not None:
+        gn, gd = series._scaled(PowerSeries([0, *g.values]), k * order)  # g_s = gn[s] / gd
     out = []
     for n in range(1, order + 1):
-        if gv is None:
-            weights = _type_counts(k, n)
-        else:
-            weights = {}  # lam: sum over mu of count * g_mu
-            hist = kdivisible_pair_stats(k, n)
-            g_mu = {mu: prod(gv[s] for s in mu) for _, mu in hist}
-            for (lam, mu), cnt in hist.items():
-                weights[lam] = weights.get(lam, 0) + cnt * g_mu[mu]
+        weights = _type_counts(k, n)
+        if g is not None:
+            _admit(k, n)  # the budget, also over warm type counts
+            size = k * n
+            # mu = rho + 1 padded with ones, rho |- N - L, is the type of
+            # perm(L, l(rho)) / Aut rho of the C(N - 1, L - 1) compositions
+            mean = {blocks: Fraction(sum(perm(blocks, len(rho)) // _aut(rho)
+                                         * gn[1] ** (blocks - len(rho)) * prod(gn[s + 1] for s in rho)
+                                         for rho in _types(size - blocks, blocks)),
+                                     comb(size - 1, blocks - 1) * gd ** blocks)
+                    for blocks in range(size + 1 - n, size + 1)}
+            weights = {lam: cnt * mean[size + 1 - len(lam)] for lam, cnt in weights.items()}
         total = 0
         for lam, w in weights.items():
             if fv is not None:
@@ -253,7 +231,7 @@ def zeta_power_conv(g: RationalSequence, k: int, order: int,
     steps = abs(k)
 
     def by_series() -> RationalSequence:
-        b = PowerSeries([1, *g.values[:order]])
+        b = PowerSeries([1, *g.prefix(order).values])
         return RationalSequence(series.solve_A_given_B(b, k, order).coeffs[1:])
 
     def walk(j: int, seq: RationalSequence, times: int) -> RationalSequence:

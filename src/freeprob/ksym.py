@@ -146,6 +146,8 @@ def clt_scaled_cumulants(d: KSymmetricDistribution, n_samples: int,
     alpha = d.determining_sequence(-(-order // d.k))
     if alpha[1] != 1:
         raise ValidationError("normalize first: kappa_k must be 1")
+    if n_samples < 1:
+        raise ValidationError("n_samples must be positive")
     b = _root(n_samples, d.k)
     if b is None:
         raise ValidationError(

@@ -49,7 +49,7 @@ class RationalSequence:
     __slots__ = ("_vals",)
 
     def __init__(self, values):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if not vals:
             raise ValidationError("a sequence needs order >= 1")
         self._vals = vals

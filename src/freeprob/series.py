@@ -96,6 +96,8 @@ def compose(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSe
         raise ValidationError("composition needs the inner series to vanish at 0")
     if order is None:
         order = min(a.order, b.order)
+    if order < 0:
+        raise ValidationError(f"a series order must be >= 0, not {order}")
     # sum A_i B^i d_b^(top-i) over d_a d_b^top; B^i vanishes below z^i, which _imul skips
     top = min(a.order, order)
     (na, da), (nb, db) = _scaled(a, top), _scaled(b, order)
@@ -346,5 +348,7 @@ def solve_A_given_B(b: PowerSeries, k: int, order: int) -> PowerSeries:
     """
     if b[0] != 1:
         raise ValidationError("B must have constant term 1")
+    if order < 0:
+        raise ValidationError(f"a series order must be >= 0, not {order}")
     # w = z A^k solves w = z B(w)^k and A = B(w): H = B, phi = B^k.
     return PowerSeries([1] + _lagrange(b, b, Fraction(k), order))

@@ -100,7 +100,8 @@ def multichain_count_enumerated(length: int, n: int) -> int:
 
 def pair_stats_by_enumeration(k: int, n: int) -> dict:
     """{(sizes(pi), sizes(Kr(pi))): count} over NC^k(n), partition by
-    partition; oracle for the closed form of incidence.kdivisible_pair_stats."""
+    partition; oracle for the Goulden-Jackson factorization that
+    incidence.kdivisible_conv sums by, and for Kreweras' type counts."""
     def sizes(blocks):
         return tuple(sorted((len(b) for b in blocks), reverse=True))
     hist: dict = {}

@@ -306,14 +306,14 @@ def test_catalan_by_recurrence_matches_closed_form():
 def test_concurrent_cache_initialization_is_consistent():
     import threading
 
-    inc._pair_stats.pop((1, 9), None)
     inc._type_count_cache.pop((1, 9), None)
+    z = inc.zeta_family(9)
+    g = RationalSequence([Fraction(1, 2), -3, 0, Fraction(5, 7), 1, 2, -1, 4, Fraction(1, 3)])
     results = []
 
     def work():
-        z = inc.zeta_family(9)
-        results.append(inc.kdivisible_conv(1, z, None, 9))  # the type counts
-        results.append(inc.kdivisible_conv(1, None, z, 9))  # the pair histogram
+        # zeta on the right, then a general g: both read the cached type counts
+        results.append((inc.kdivisible_conv(1, z, None, 9), inc.kdivisible_conv(1, z, g, 9)))
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     for t in threads:
@@ -321,7 +321,8 @@ def test_concurrent_cache_initialization_is_consistent():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
-    assert [int(v) for v in results[0]] == [nc.catalan(n) for n in range(1, 10)]
+    assert [int(v) for v in results[0][0]] == [nc.catalan(n) for n in range(1, 10)]
+    assert results[0][1] == inc.conv(z, g, 9)
 
 
 def kdivisible_conv_bruteforce(k, f, g, order):
@@ -338,11 +339,12 @@ def kdivisible_conv_bruteforce(k, f, g, order):
 
 
 @settings(max_examples=10, deadline=None)
-@given(seqs(9), seqs(9), st.integers(min_value=1, max_value=3))
-def test_kdivisible_conv_matches_bruteforce(f, g, k):
-    order = 9 // k if k > 1 else 6
-    f, g = f.prefix(k * order), g.prefix(k * order)
-    for a, b in ((f, g), (None, g), (f, None), (None, None)):
+@given(seqs(12), seqs(12), st.integers(min_value=1, max_value=4), st.booleans(), st.booleans())
+def test_kdivisible_conv_matches_bruteforce(f, g, k, f1_zero, g1_zero):
+    order = 12 // k if k > 1 else 6
+    f, g = _zero_led(f.prefix(k * order), f1_zero), _zero_led(g.prefix(k * order), g1_zero)
+    moebius = inc.moebius_family(k * order)
+    for a, b in ((f, g), (None, g), (f, None), (None, None), (f, moebius), (None, moebius)):
         assert inc.kdivisible_conv(k, a, b, order) == kdivisible_conv_bruteforce(k, a, b, order)
     zeta = inc.zeta_family(k * order)
     assert inc.kdivisible_conv(k, None, g, order) == inc.kdivisible_conv(k, zeta, g, order)
@@ -359,51 +361,88 @@ def test_kdivisible_conv_needs_operands_up_to_k_times_order():
     assert inc.kdivisible_conv(2, None, g.prefix(4), 2).order == 2
 
 
+def _types_with_parts(total, parts, top=None):
+    """Partitions of total into exactly `parts` parts, non-increasing."""
+    top = total if top is None else top
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(s, *rest) for s in range(min(total, top), 0, -1)
+            for rest in _types_with_parts(total - s, parts - 1, s)]
+
+
+def _aut(sizes):
+    return prod(factorial(sizes.count(s)) for s in set(sizes))
+
+
+def _c(sizes):
+    return Fraction(factorial(len(sizes) - 1), _aut(sizes))
+
+
 @pytest.mark.parametrize("k,top", [(1, 11), (2, 6), (3, 5), (4, 4), (5, 3)])
 def test_pair_stats_closed_form_matches_the_enumeration(k, top):
+    # Goulden-Jackson, the factorization the walk sums by: NC^k(n) has
+    # N c(lam) c(mu) partitions of type lam whose Kreweras complement has
+    # type mu, c(t) = (l(t) - 1)! / Aut t, for every mu |- N with
+    # N + 1 - l(lam) parts
     for n in range(1, top + 1):
-        inc._pair_stats.pop((k, n), None)
-        assert inc.kdivisible_pair_stats(k, n) == pair_stats_by_enumeration(k, n)
+        size, hist = k * n, pair_stats_by_enumeration(k, n)
+        lams = {lam for lam, _ in hist}
+        assert lams == {tuple(k * s for s in nu)
+                        for parts in range(1, n + 1) for nu in _types_with_parts(n, parts)}
+        for lam in lams:
+            mus = {mu for other, mu in hist if other == lam}
+            assert mus == set(_types_with_parts(size, size + 1 - len(lam)))
+            for mu in mus:
+                assert hist[lam, mu] == size * _c(lam) * _c(mu)
 
 
 def test_pair_stats_sum_to_fuss_catalan_with_kreweras_type_counts():
-    # Kreweras: NC(n) has n! / ((n - l + 1)! Aut lambda) partitions of a
-    # type lambda with l blocks
+    # an all-ones g has mean 1 at every block count, so the general walk
+    # counts NC^k(n) and, at k = 1, weights each type lambda with Kreweras'
+    # count n! / ((n - l + 1)! Aut lambda)
     for k, top in [(1, 16), (2, 8), (3, 6), (7, 3), (1000, 2), (5000, 1)]:
-        for n in range(1, top + 1):
-            hist = inc.kdivisible_pair_stats(k, n)
-            assert sum(hist.values()) == nc.fuss_catalan_kdivisible(k, n)
-            if k > 1:
-                continue
-            marginal = {}
-            for (lam, _), cnt in hist.items():
-                marginal[lam] = marginal.get(lam, 0) + cnt
-            for lam, cnt in marginal.items():
-                aut = prod(factorial(lam.count(s)) for s in set(lam))
-                assert cnt == factorial(n) // (factorial(n - len(lam) + 1) * aut)
+        out = inc.kdivisible_conv(k, None, inc.zeta_family(k * top), top)
+        assert list(out) == [nc.fuss_catalan_kdivisible(k, n) for n in range(1, top + 1)]
+    primes = RationalSequence([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
+    want = [sum(factorial(n) // (factorial(n - parts + 1) * _aut(lam))
+                * prod(primes[s] for s in lam)
+                for parts in range(1, n + 1) for lam in _types_with_parts(n, parts))
+            for n in range(1, 17)]
+    assert list(inc.kdivisible_conv(1, primes, inc.zeta_family(16), 16)) == want
 
 
 def test_pair_stats_take_no_recursion_that_deepens_with_k():
-    for n in (1, 2):
-        inc._pair_stats.pop((1000, n), None)
-    out = inc.kdivisible_conv(1000, inc.zeta_family(2000), None, 2)
-    assert list(out) == [nc.fuss_catalan_kdivisible(1000, n) for n in (1, 2)]
+    # NC^1000(2): one block, whose complement is 2000 singletons, or two
+    # blocks of 1000, whose complement has type (2, 1^1998), 1000 times
+    f = RationalSequence([Fraction(j % 7 - 3, j % 5 + 1) for j in range(1, 2001)])
+    g = RationalSequence([Fraction(1, 2), 3] + [Fraction(-5, 3)] * 1998)
+    out = inc.kdivisible_conv(1000, f, g, 2)
+    assert list(out) == [f[1000] * g[1] ** 1000,
+                         f[2000] * g[1] ** 2000 + 1000 * f[1000] ** 2 * g[1] ** 1998 * g[2]]
 
 
 def test_pair_stats_enumerate_nothing(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the pair-stat fill enumerated partitions")
+        raise AssertionError("the walk enumerated partitions")
+    f = RationalSequence([Fraction(1, 2), -3, 0, Fraction(5, 7)] * 3)
+    g = RationalSequence([2, Fraction(-1, 3), 1, 0, 4, Fraction(2, 9)] * 2)
+    want = inc.conv(f, g, 12)
     monkeypatch.setattr(nc, "_iter_spans", refuse)
     monkeypatch.setattr(nc, "kreweras", refuse)
-    monkeypatch.delitem(inc._pair_stats, (1, 12), raising=False)
-    assert sum(inc.kdivisible_pair_stats(1, 12).values()) == nc.catalan(12)
+    assert inc.kdivisible_conv(1, f, g, 12) == want
 
 
-def test_pair_stats_keep_the_validation_and_the_budget():
+def test_pair_stats_keep_the_validation_and_the_budget(monkeypatch):
+    g = RationalSequence([Fraction(1, 2), -3, 0, Fraction(5, 7)] * 5)
     with pytest.raises(ValidationError, match="k and n must be >= 1"):
-        inc.kdivisible_pair_stats(0, 3)
+        inc.kdivisible_conv(0, g, g, 3)
     with pytest.raises(ResourceLimitError, match=r"NC\^1\(17\) would enumerate"):
-        inc.kdivisible_pair_stats(1, 17)
+        inc.kdivisible_conv(1, g, g, 17)
+    # a general walk checks the budget even when the type counts are cached
+    inc.kdivisible_conv(1, g, None, 12)
+    monkeypatch.setenv("FREEPROB_MAX_N", "5")
+    with pytest.raises(ResourceLimitError, match=r"NC\^1\(6\) would enumerate"):
+        inc.kdivisible_conv(1, g, g, 12)
 
 
 @pytest.mark.parametrize("k,top", [(1, 11), (2, 6), (3, 5), (4, 4), (5, 3)])
@@ -418,13 +457,20 @@ def test_type_counts_are_the_marginal_of_the_enumerated_pair_stats(k, top):
 
 
 def test_a_zeta_side_walk_reads_no_pair_stats(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a walk with zeta on the right read the pair histogram")
-    monkeypatch.setattr(inc, "kdivisible_pair_stats", refuse)
+    # with zeta on the right Kreweras' type counts are the whole weight: a
+    # cold walk lists the types of each n once and takes no block-count mean
+    listed, real = [], inc._types
+
+    def spy(total, parts):
+        listed.append((total, parts))
+        return real(total, parts)
+    monkeypatch.setattr(inc, "_type_count_cache", {})
+    monkeypatch.setattr(inc, "_types", spy)
     g = RationalSequence([Fraction(1, 2), -3, 0, Fraction(5, 7)] * 4)
     assert inc.kdivisible_conv(1, g, None, 16) == inc.zeta_power_conv(g, 1, 16)
     assert list(inc.kdivisible_conv(4, None, None, 4)) == [
         nc.fuss_catalan_kdivisible(4, n) for n in range(1, 5)]
+    assert listed == [(n, n) for n in range(1, 17)] + [(n, n) for n in range(1, 5)]
 
 
 @pytest.mark.parametrize("k", [-4, -3, -2, -1, 1, 2, 3, 4])

@@ -290,6 +290,10 @@ def test_clt_requires_normalized_and_perfect_power():
     good = ksym.semicircle_sk(2, 4)
     with pytest.raises(ValidationError):
         ksym.clt_scaled_cumulants(good, 5, 4)
+    # 0 is a perfect square whose root the scaling raises to a negative power
+    for n_samples in (0, -4):
+        with pytest.raises(ValidationError, match="n_samples must be positive"):
+            ksym.clt_scaled_cumulants(good, n_samples, 4)
 
 
 # --- compound Poisson ---------------------------------------------------------

@@ -128,7 +128,7 @@ def test_series_routes_never_walk_and_enumeration_routes_never_invert(name, monk
     for route in enumeration_routes:
         assert call(route) == want
     with monkeypatch.context() as patch:
-        patch.setattr(incidence, "kdivisible_pair_stats", _refuse)
+        patch.setattr(incidence, "_types", _refuse)
         patch.setattr(incidence, "_type_counts", _refuse)
         for route in series_routes:
             assert call(route) == want
@@ -156,7 +156,7 @@ def test_the_trivial_power_checks_the_route_and_neither_walks_nor_solves(name, m
     call, routes, want = TRIVIAL[name]
     with pytest.raises(ValidationError, match="unknown route 'bogus'"):
         call("bogus")
-    monkeypatch.setattr(incidence, "kdivisible_pair_stats", _refuse)
+    monkeypatch.setattr(incidence, "_types", _refuse)
     monkeypatch.setattr(incidence, "_type_counts", _refuse)
     monkeypatch.setattr(series, "_lagrange", _refuse)
     for route in [*routes, "both"]:

@@ -452,6 +452,17 @@ def test_solve_A_given_B_edge_orders_and_k_zero():
     assert se.solve_A_given_B(b, -1, 3) == old_solve_B_given_A(b, 3)
 
 
+def test_compose_and_solve_reject_a_negative_order():
+    a, b = PowerSeries([1, 2, Fraction(-1, 3)]), PowerSeries([0, 1, 1])
+    for order in (-1, -5):
+        with pytest.raises(ValidationError, match="order must be >= 0"):
+            se.compose(a, b, order)
+        for k in (-1, 0, 2):
+            with pytest.raises(ValidationError, match="order must be >= 0"):
+                se.solve_A_given_B(a, k, order)
+    assert se.compose(a, b, 0) == PowerSeries([1])
+
+
 def test_short_B_is_read_as_a_polynomial():
     n = 9
     cat = se.solve_A_given_B(PowerSeries([1, 1]), 2, n)
