@@ -14,18 +14,15 @@ any integer t, one Lagrange inversion since F(g^{*t}) = F(g)^t, even
 when a leading entry is zero; a zeta power g * zeta^k is the A with
 A = B(z A^k), B = 1 + g(z).  Both cost polynomial time.
 
-The walk is the test oracle.  It never walks NC(n): it sums over
-partition types, each weighted by Kreweras' cached closed-form count
-(enumerating NC^k(n) is the tests' oracle for them), so the
-Catalan-sized sum collapses to a sum over types.  The Goulden-Jackson
-count of pi of type lam with Kr(pi) of type mu factors, so the right
-side enters only through one mean per block count of Kr(pi), and with
-zeta on the right that mean is 1.  Only `kdivisible_conv`, the
-convolution in the lattice of k-divisible partitions, reads these
-counts; its k = 1 case is the walk for `conv`.  FREEPROB_MAX_N bounds
-only these walks, through the enumeration budget of `ncpart`.  `ksym`
-builds every k-symmetric law on the series zeta power: k convolutions
-with zeta in NC are one in NC^k.
+The walk is the test oracle.  It never walks NC(n): by Goulden and
+Jackson the pi of each type with Kr(pi) of each type are counted in
+closed form, and summed over types those counts are coefficients of
+powers of two generating series, so `kdivisible_conv`, the convolution
+in the lattice of k-divisible partitions, costs O(order^3) integer
+products whatever k.  Its k = 1 case is the walk for `conv`.
+FREEPROB_MAX_N bounds only these walks, through the enumeration budget
+of `ncpart`.  `ksym` builds every k-symmetric law on the series zeta
+power: k convolutions with zeta in NC are one in NC^k.
 
 Routes go through `errors.run_route` ("both" runs all and checks that
 they agree): `zeta_power_conv` has "series", "iterated" (|k| walks in
@@ -35,31 +32,13 @@ with the Moebius family.  Every zeta-power walk in the library is one of these.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, perm, prod
+from math import comb, lcm
 
 from . import ncpart, series
 from .errors import ValidationError, run_route
 from .sequences import RationalSequence
 from .series import PowerSeries
-
-_type_count_cache: dict = {}
-
-
-def _types(total: int, parts: int):
-    # partitions of total into at most `parts` parts, non-increasing, by a stack
-    stack = [((), total, total)]
-    while stack:
-        head, rest, top = stack.pop()
-        if not rest:
-            yield head
-        elif len(head) < parts:
-            stack.extend((head + (s,), rest - s, s) for s in range(1, min(rest, top) + 1))
-
-
-def _aut(sizes: tuple) -> int:
-    return prod(factorial(c) for c in Counter(sizes).values())
 
 
 def _admit(k: int, n: int) -> None:
@@ -69,18 +48,21 @@ def _admit(k: int, n: int) -> None:
     ncpart._check_budget(n, lambda: ncpart.fuss_catalan_kdivisible(k, n), None, f"NC^{k}({n})")
 
 
-def _type_counts(k: int, n: int) -> dict:
-    # {sizes(pi): count} over NC^k(n), cached.  Kreweras: NC(N) has
-    # N! / ((N - l + 1)! Aut lam) partitions of a type lam with l blocks,
-    # and Aut(k nu) = Aut nu.
-    hit = _type_count_cache.get((k, n))
-    if hit is not None:
-        return hit
-    _admit(k, n)
-    counts = {tuple(k * s for s in nu): perm(k * n, len(nu) - 1) // _aut(nu)
-              for nu in _types(n, n)}
-    _type_count_cache[(k, n)] = counts
-    return counts
+def _power_coeffs(values, top: int) -> tuple:
+    """d and (m, s) -> d^m [z^s] A^m for s - m < top, where A is the sum of
+    a_s z^s, a_s = values[s - 1], s = 1..top, and d is their common
+    denominator.  A = z (c + H) gives [z^s] A^m = sum over i of C(m, i)
+    c^(m - i) [z^(s - m)] H^i, and H^i starts at z^i, so one table of the
+    powers of H through z^(top - 1) serves every m."""
+    (c, *h), d = series._scaled(values)
+    h, rows = [0, *h], [[1] + [0] * (top - 1)]
+    for _ in range(1, top):
+        rows.append(series._imul(rows[-1], h, top - 1))
+
+    def coeff(m: int, s: int) -> int:
+        e = s - m
+        return sum(comb(m, i) * c ** (m - i) * rows[i][e] for i in range(min(m, e) + 1))
+    return d, coeff
 
 
 def extend(a: RationalSequence, p: ncpart.Partition) -> Fraction:
@@ -157,39 +139,30 @@ def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | No
     """Entry n is the sum over k-divisible pi in NC(kn) of f_pi g_{Kr(pi)},
     n = 1..order; None for f or g stands for the zeta family (all ones).
 
-    Walks partition types, not partitions: entry n is the sum over
-    lam = k nu, nu |- n, of Kreweras' count of lam, f_lam and the mean of
-    g_mu over the types mu of Kr(pi).  Goulden-Jackson: N c(lam) c(mu) such
-    pi have Kr(pi) of type mu, c(t) = (l(t) - 1)! / Aut t, so Kr(pi) takes
-    the type of each composition of N = kn into L = N + 1 - l(lam) parts
-    equally often: the mean depends on L alone and is taken once per L, and
-    with zeta on the right it is 1.
+    Goulden-Jackson: with N = kn, N c(lam) c(mu) partitions in NC(N) have
+    type lam and a complement of type mu, c(t) = (l(t) - 1)! / Aut t, for
+    every mu |- N with N + 1 - l(lam) parts.  Summed over the lam = k nu
+    with j parts, c(lam) f_lam is [z^n] F^j / j with F the sum of
+    f_(km) z^m, and over the mu with L parts c(mu) g_mu is [z^N] G^L / L
+    with G the sum of g_s z^s.  So entry n is N times the sum over j = 1..n of
+    [z^n] F^j [z^N] G^(N+1-j) / (j (N + 1 - j)), which reads only
+    f_k..f_(k order) and g_1..g_order.
     """
     if any(a is not None and a.order < k * order for a in (f, g)):
         raise ValidationError("operand order too small for requested convolution order")
-    fv = None if f is None else (None, *f.values)  # fv[s] is f_s
-    if g is not None:
-        gn, gd = series._scaled(PowerSeries([0, *g.values]), k * order)  # g_s = gn[s] / gd
+    for n in range(1, order + 1):
+        _admit(k, n)  # every error before any work
+    if order < 1:
+        return RationalSequence([])  # the empty-sequence error
+    fd, fc = _power_coeffs([1] * order if f is None else f.values[k - 1:k * order:k], order)
+    gd, gc = _power_coeffs([1] * order if g is None else g.values[:order], order)
     out = []
     for n in range(1, order + 1):
-        weights = _type_counts(k, n)
-        if g is not None:
-            _admit(k, n)  # the budget, also over warm type counts
-            size = k * n
-            # mu = rho + 1 padded with ones, rho |- N - L, is the type of
-            # perm(L, l(rho)) / Aut rho of the C(N - 1, L - 1) compositions
-            mean = {blocks: Fraction(sum(perm(blocks, len(rho)) // _aut(rho)
-                                         * gn[1] ** (blocks - len(rho)) * prod(gn[s + 1] for s in rho)
-                                         for rho in _types(size - blocks, blocks)),
-                                     comb(size - 1, blocks - 1) * gd ** blocks)
-                    for blocks in range(size + 1 - n, size + 1)}
-            weights = {lam: cnt * mean[size + 1 - len(lam)] for lam, cnt in weights.items()}
-        total = 0
-        for lam, w in weights.items():
-            if fv is not None:
-                w *= prod(fv[s] for s in lam)
-            total += w
-        out.append(total)
+        size = k * n
+        den = lcm(*(j * (size + 1 - j) for j in range(1, n + 1)))
+        total = sum(fc(j, n) * fd ** (n - j) * gc(size + 1 - j, size) * gd ** (j - 1)
+                    * (den // (j * (size + 1 - j))) for j in range(1, n + 1))
+        out.append(Fraction(size * total, fd ** n * gd ** size * den))
     return RationalSequence(out)
 
 

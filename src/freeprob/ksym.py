@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import incidence, ncpart, transforms
 from .series import nth_root_int as _root
 from .errors import ValidationError, run_route
-from .sequences import RationalSequence, frac_from_str, frac_to_str
+from .sequences import RationalSequence, frac_from_str, frac_param, frac_to_str
 
 
 class KSymmetricDistribution:
@@ -126,7 +126,7 @@ def boxplus_power(d: KSymmetricDistribution, t, order: int) -> KSymmetricDistrib
     """Free additive power: every cumulant scales by t.  Formally valid
     for all t > 0; the validity flag reports the Hankel test on the new
     base (guaranteed to pass for t >= 1 when d is a measure)."""
-    t = Fraction(t)
+    t = frac_param(t, "t")
     if t <= 0:
         raise ValidationError("free additive power needs t > 0")
     alpha = d.determining_sequence(order).scale(t)
@@ -164,7 +164,7 @@ def compound_poisson(k: int, rate, jump: KSymmetricDistribution,
                      order: int) -> KSymmetricDistribution:
     """Free compound Poisson: kappa_n = rate * m_n(jump), so its
     determining sequence is alpha_n = rate * m_{kn}(jump)."""
-    rate = Fraction(rate)
+    rate = frac_param(rate, "rate")
     if rate <= 0:
         raise ValidationError("rate must be positive")
     if jump.k != k:
@@ -176,7 +176,7 @@ def poisson_limit_gap(k: int, rate, jump: KSymmetricDistribution,
                       n_samples: int, order: int) -> RationalSequence:
     """|kappa_n(((1 - rate/N) delta_0 + (rate/N) jump)^{boxplus N}) -
     rate * m_n(jump)| for n = 1..order, exactly."""
-    rate = Fraction(rate)
+    rate = frac_param(rate, "rate")
     if rate <= 0 or n_samples < 1:
         raise ValidationError("rate and n_samples must be positive")
     if jump.k != k:
@@ -213,8 +213,8 @@ def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
     m_n = sum over k-divisible pi in NC(kn) of kappa_{Kr(pi)}(mu).
 
     route "series" (the default) is the one solve mu * kappa(mu)^{*(k-1)}
-    of incidence.conv, route "enumeration" walks the k-divisible
-    partition types and needs moments up to k*order; "both" checks
+    of incidence.conv, route "enumeration" is the walk
+    incidence.kdivisible_conv and needs moments up to k*order; "both" checks
     agreement.
     """
     if not isinstance(k, int):
@@ -244,7 +244,7 @@ def infdiv_power_identity_check(rate, jump: KSymmetricDistribution, k: int,
     Poisson multiplicative power of the positive law whose cumulants are
     rate * m_n(jump^k).  At rate 1 that jump law equals
     (free Poisson)^{boxtimes (k-1)} boxtimes jump^k."""
-    rate = Fraction(rate)
+    rate = frac_param(rate, "rate")
     if jump.k != k:
         raise ValidationError("jump law has the wrong symmetry order")
     x = compound_poisson(k, rate, jump, order)
@@ -358,7 +358,7 @@ def stable_add_power(a: StableMonomial, t) -> StableMonomial:
     """S of the t-th free additive power: S(z) -> (1/t) S(z/t), which on
     c z^gamma multiplies the scale by t^(-(1+gamma)).  Irrational parts
     of the factor survive as a symbolic power atom."""
-    t = Fraction(t)
+    t = frac_param(t, "t")
     if t <= 0:
         raise ValidationError("t must be positive")
     return StableMonomial(a.scale, a.phase_pi, a.exponent, a.theta,
@@ -367,7 +367,7 @@ def stable_add_power(a: StableMonomial, t) -> StableMonomial:
 
 def stable_dilate(a: StableMonomial, t) -> StableMonomial:
     """S of the dilation by t: S(z) -> (1/t) S(z)."""
-    t = Fraction(t)
+    t = frac_param(t, "t")
     if t <= 0:
         raise ValidationError("t must be positive")
     return StableMonomial(a.scale / t, a.phase_pi, a.exponent, a.theta,
@@ -377,7 +377,7 @@ def stable_dilate(a: StableMonomial, t) -> StableMonomial:
 def positive_stable_monomial(alpha) -> StableMonomial:
     """S-transform of the one-sided stable law of index alpha in (0, 1]:
     theta_alpha e^(i pi (1-alpha)/alpha) z^((1-alpha)/alpha)."""
-    alpha = Fraction(alpha)
+    alpha = frac_param(alpha, "alpha")
     if not 0 < alpha <= 1:
         raise ValidationError("index must lie in (0, 1]")
     g = (1 - alpha) / alpha
@@ -396,7 +396,7 @@ def ksym_stable_monomial(k: int, t) -> StableMonomial:
     """S-transform of the k-symmetric strictly stable law of index
     1/(1+t), realized as the k-semicircle times the positive stable law
     of index alpha = beta k / (k - beta + beta k) with beta = 1/(1+t)."""
-    t = Fraction(t)
+    t = frac_param(t, "t")
     if t < 0:
         raise ValidationError("t must be >= 0")
     beta = Fraction(1, 1 + t) if t else Fraction(1)
@@ -427,7 +427,7 @@ def stable_reproducing_check(k: int, t, s) -> bool:
     """sigma^k_{1/(1+t)} boxtimes nu_{1/(1+s)} = sigma^k_{1/(1+t+s)} at
     the level of S-transform monomials, magnitudes compared under the
     theta composition axiom."""
-    t, s = Fraction(t), Fraction(s)
+    t, s = frac_param(t, "t"), frac_param(s, "s")
     if t <= 0 or s <= 0:
         raise ValidationError("t and s must be positive")
     lhs = stable_monomial_mul(

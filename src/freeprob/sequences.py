@@ -34,6 +34,15 @@ def frac_from_str(s: str) -> Fraction:
         raise ValidationError(f"not a rational literal: {s!r}") from exc
 
 
+def frac_param(x, name: str) -> Fraction:
+    """A scalar parameter as an exact rational; NaN, an infinity or a
+    non-number is a ValidationError."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{name} must be a finite rational, not {x!r}") from exc
+
+
 def _entry_from_json(s) -> Fraction:
     if isinstance(s, str):
         return frac_from_str(s)

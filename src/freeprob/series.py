@@ -86,7 +86,9 @@ class PowerSeries:
 def mul(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSeries:
     if order is None:
         order = min(a.order, b.order)
-    (na, da), (nb, db) = _scaled(a, order), _scaled(b, order)
+    if order < 0:
+        raise ValidationError(f"a series order must be >= 0, not {order}")
+    (na, da), (nb, db) = _scaled(a.coeffs[:order + 1]), _scaled(b.coeffs[:order + 1])
     return PowerSeries([Fraction(x, da * db) for x in _imul(na, nb, order)])
 
 
@@ -100,7 +102,7 @@ def compose(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSe
         raise ValidationError(f"a series order must be >= 0, not {order}")
     # sum A_i B^i d_b^(top-i) over d_a d_b^top; B^i vanishes below z^i, which _imul skips
     top = min(a.order, order)
-    (na, da), (nb, db) = _scaled(a, top), _scaled(b, order)
+    (na, da), (nb, db) = _scaled(a.coeffs[:top + 1]), _scaled(b.coeffs[:order + 1])
     out = [na[0] * db ** top] + [0] * order
     pw = [1]
     for i in range(1, top + 1):
@@ -113,9 +115,8 @@ def compose(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSe
     return PowerSeries([Fraction(x, d) for x in out])
 
 
-def _scaled(a: PowerSeries, top: int) -> tuple:
-    """Integer numerators of a_0..a_top over their least common denominator."""
-    c = a.coeffs[:top + 1]
+def _scaled(c) -> tuple:
+    """Integer numerators of the rationals c over their least common denominator."""
     d = math.lcm(*(x.denominator for x in c))
     return [x.numerator * (d // x.denominator) for x in c], d
 
@@ -140,6 +141,8 @@ def power(a: PowerSeries, e: int, order: int | None = None) -> PowerSeries:
         raise ValidationError(f"a series power needs an integer exponent, not {e!r}")
     if order is None:
         order = a.order
+    if order < 0:
+        raise ValidationError(f"a series order must be >= 0, not {order}")
     v = next((i for i, c in enumerate(a.coeffs) if c), None)
     if e < 0 and v != 0:
         raise ValidationError("a negative series power needs a nonzero constant term")

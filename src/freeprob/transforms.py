@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import incidence, ncpart, series
 from .errors import ValidationError, run_route
-from .sequences import RationalSequence
+from .sequences import RationalSequence, frac_param
 from .series import PowerSeries, PuiseuxSeries
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def free_add_convolve(c1: RationalSequence, c2: RationalSequence) -> RationalSeq
 
 
 def free_add_power(cum: RationalSequence, t) -> RationalSequence:
-    t = Fraction(t)
+    t = frac_param(t, "t")
     if t <= 0:
         raise ValidationError("free additive power needs t > 0")
     return cum.scale(t)
@@ -258,7 +258,7 @@ def hankel_check(mom: RationalSequence, stieltjes: bool = False) -> bool:
 
 
 def point_mass_moments(c, order: int) -> RationalSequence:
-    c = Fraction(c)
+    c = frac_param(c, "c")
     return RationalSequence([c ** n for n in range(1, order + 1)])
 
 

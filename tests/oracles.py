@@ -100,8 +100,9 @@ def multichain_count_enumerated(length: int, n: int) -> int:
 
 def pair_stats_by_enumeration(k: int, n: int) -> dict:
     """{(sizes(pi), sizes(Kr(pi))): count} over NC^k(n), partition by
-    partition; oracle for the Goulden-Jackson factorization that
-    incidence.kdivisible_conv sums by, and for Kreweras' type counts."""
+    partition; oracle for the Goulden-Jackson count and for its sums over
+    the types of one length, the power coefficients that
+    incidence.kdivisible_conv reads."""
     def sizes(blocks):
         return tuple(sorted((len(b) for b in blocks), reverse=True))
     hist: dict = {}

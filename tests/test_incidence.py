@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from functools import lru_cache
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from freeprob import incidence as inc
 from freeprob import ncpart as nc
+from freeprob import series
 from freeprob.errors import ResourceLimitError, ValidationError
 from freeprob.sequences import RationalSequence
 from oracles import (catalan_by_recurrence, conv_power_by_steps, multichain_count_enumerated,
@@ -117,6 +120,10 @@ def test_zeta_power_routes_agree(g, k):
     b = inc.zeta_power_conv(g.prefix(order), k, order, route="dilated")
     assert a == b
     assert inc.zeta_power_conv(g.prefix(order), k, order) == a
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a walk must not get here")
 
 
 def _zero_led(a: RationalSequence, zero: bool) -> RationalSequence:
@@ -306,13 +313,12 @@ def test_catalan_by_recurrence_matches_closed_form():
 def test_concurrent_cache_initialization_is_consistent():
     import threading
 
-    inc._type_count_cache.pop((1, 9), None)
     z = inc.zeta_family(9)
     g = RationalSequence([Fraction(1, 2), -3, 0, Fraction(5, 7), 1, 2, -1, 4, Fraction(1, 3)])
     results = []
 
     def work():
-        # zeta on the right, then a general g: both read the cached type counts
+        # zeta on the right, then a general g: nothing is shared between walks
         results.append((inc.kdivisible_conv(1, z, None, 9), inc.kdivisible_conv(1, z, g, 9)))
 
     threads = [threading.Thread(target=work) for _ in range(8)]
@@ -361,6 +367,11 @@ def test_kdivisible_conv_needs_operands_up_to_k_times_order():
     assert inc.kdivisible_conv(2, None, g.prefix(4), 2).order == 2
 
 
+@lru_cache(maxsize=None)
+def _pair_stats(k, n):
+    return pair_stats_by_enumeration(k, n)
+
+
 def _types_with_parts(total, parts, top=None):
     """Partitions of total into exactly `parts` parts, non-increasing."""
     top = total if top is None else top
@@ -385,7 +396,7 @@ def test_pair_stats_closed_form_matches_the_enumeration(k, top):
     # type mu, c(t) = (l(t) - 1)! / Aut t, for every mu |- N with
     # N + 1 - l(lam) parts
     for n in range(1, top + 1):
-        size, hist = k * n, pair_stats_by_enumeration(k, n)
+        size, hist = k * n, _pair_stats(k, n)
         lams = {lam for lam, _ in hist}
         assert lams == {tuple(k * s for s in nu)
                         for parts in range(1, n + 1) for nu in _types_with_parts(n, parts)}
@@ -397,9 +408,9 @@ def test_pair_stats_closed_form_matches_the_enumeration(k, top):
 
 
 def test_pair_stats_sum_to_fuss_catalan_with_kreweras_type_counts():
-    # an all-ones g has mean 1 at every block count, so the general walk
-    # counts NC^k(n) and, at k = 1, weights each type lambda with Kreweras'
-    # count n! / ((n - l + 1)! Aut lambda)
+    # an all-ones g is the zeta family, so the walk counts NC^k(n) and, at
+    # k = 1, weights each type lambda with Kreweras' count
+    # n! / ((n - l + 1)! Aut lambda)
     for k, top in [(1, 16), (2, 8), (3, 6), (7, 3), (1000, 2), (5000, 1)]:
         out = inc.kdivisible_conv(k, None, inc.zeta_family(k * top), top)
         assert list(out) == [nc.fuss_catalan_kdivisible(k, n) for n in range(1, top + 1)]
@@ -438,39 +449,91 @@ def test_pair_stats_keep_the_validation_and_the_budget(monkeypatch):
         inc.kdivisible_conv(0, g, g, 3)
     with pytest.raises(ResourceLimitError, match=r"NC\^1\(17\) would enumerate"):
         inc.kdivisible_conv(1, g, g, 17)
-    # a general walk checks the budget even when the type counts are cached
+    # a walk checks the budget of every n, however often it ran before
     inc.kdivisible_conv(1, g, None, 12)
     monkeypatch.setenv("FREEPROB_MAX_N", "5")
-    with pytest.raises(ResourceLimitError, match=r"NC\^1\(6\) would enumerate"):
-        inc.kdivisible_conv(1, g, g, 12)
+    for right in (g, None):
+        with pytest.raises(ResourceLimitError, match=r"NC\^1\(6\) would enumerate"):
+            inc.kdivisible_conv(1, g, right, 12)
+
+
+def test_the_budget_refuses_before_any_power_is_built(monkeypatch):
+    monkeypatch.setattr(series, "_imul", _refuse)
+    f = RationalSequence.constant(2, 2000)
+    for g in (f, None):
+        with pytest.raises(ResourceLimitError, match=r"NC\^1\(17\) would enumerate"):
+            inc.kdivisible_conv(1, f, g, 2000)
 
 
 @pytest.mark.parametrize("k,top", [(1, 11), (2, 6), (3, 5), (4, 4), (5, 3)])
 def test_type_counts_are_the_marginal_of_the_enumerated_pair_stats(k, top):
-    # Kreweras' count of each type, without the pair histogram
+    # summed over the types of one length, the Goulden-Jackson weights are
+    # power coefficients: over lam = k nu with j parts, c(lam) f_lam sums to
+    # [z^n] F^j / j, F the sum of f_(km) z^m, and over mu with L parts,
+    # c(mu) g_mu sums to [z^N] G^L / L.  c is read off the marginals of the
+    # enumerated histogram: by the same count, pi of type lam number
+    # N c(lam) C(N - 1, L - 1) / L, and Kr(pi) of type mu number
+    # N c(mu) C(n - 1, j - 1) / j, with j + L = N + 1
+    f = RationalSequence([Fraction(s % 7 - 3, s % 5 + 1) for s in range(1, k * top + 1)])
+    g = RationalSequence([Fraction(s % 4 - 1, s % 3 + 2) for s in range(k * top)])
+    fd, fc = inc._power_coeffs(f.values[k - 1::k], top)
+    gd, gc = inc._power_coeffs(g.values[:top], top)
     for n in range(1, top + 1):
-        marginal = {}
-        for (lam, _), cnt in pair_stats_by_enumeration(k, n).items():
-            marginal[lam] = marginal.get(lam, 0) + cnt
-        inc._type_count_cache.pop((k, n), None)
-        assert inc._type_counts(k, n) == marginal
+        size, by_lam, by_mu = k * n, Counter(), Counter()
+        for (lam, mu), cnt in _pair_stats(k, n).items():
+            by_lam[lam] += cnt
+            by_mu[mu] += cnt
+        f_sums, g_sums = Counter(), Counter()
+        for lam, cnt in by_lam.items():
+            j, parts = len(lam), size + 1 - len(lam)
+            f_sums[j] += (Fraction(cnt * parts, size * comb(size - 1, parts - 1))
+                          * prod(f[s] for s in lam))
+        for mu, cnt in by_mu.items():
+            j, parts = size + 1 - len(mu), len(mu)
+            g_sums[parts] += Fraction(cnt * j, size * comb(n - 1, j - 1)) * prod(g[s] for s in mu)
+        for j in range(1, n + 1):
+            parts = size + 1 - j
+            assert f_sums[j] == Fraction(fc(j, n), fd ** j * j)
+            assert g_sums[parts] == Fraction(gc(parts, size), gd ** parts * parts)
 
 
 def test_a_zeta_side_walk_reads_no_pair_stats(monkeypatch):
-    # with zeta on the right Kreweras' type counts are the whole weight: a
-    # cold walk lists the types of each n once and takes no block-count mean
-    listed, real = [], inc._types
-
-    def spy(total, parts):
-        listed.append((total, parts))
-        return real(total, parts)
-    monkeypatch.setattr(inc, "_type_count_cache", {})
-    monkeypatch.setattr(inc, "_types", spy)
-    g = RationalSequence([Fraction(1, 2), -3, 0, Fraction(5, 7)] * 4)
-    assert inc.kdivisible_conv(1, g, None, 16) == inc.zeta_power_conv(g, 1, 16)
+    # a walk, with zeta on either side or on neither, lists no partition,
+    # takes no Kreweras complement and inverts no series
+    f = RationalSequence([Fraction(1, 2), -3, 0, Fraction(5, 7)] * 4)
+    g = RationalSequence([2, Fraction(-1, 3), 1, 0, 4, Fraction(2, 9)] * 3).prefix(16)
+    want = {(f, None): inc.zeta_power_conv(f, 1, 16), (None, g): inc.zeta_power_conv(g, 1, 16),
+            (f, g): inc.conv(f, g, 16)}
+    for name in ("_iter_spans", "kreweras"):
+        monkeypatch.setattr(nc, name, _refuse)
+    monkeypatch.setattr(series, "_lagrange", _refuse)
+    for (a, b), value in want.items():
+        assert inc.kdivisible_conv(1, a, b, 16) == value
     assert list(inc.kdivisible_conv(4, None, None, 4)) == [
         nc.fuss_catalan_kdivisible(4, n) for n in range(1, 5)]
-    assert listed == [(n, n) for n in range(1, 17)] + [(n, n) for n in range(1, 5)]
+
+
+walk_sides = st.sampled_from(["zeta", "plain", "zero-led", "moebius"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+           lambda k: st.tuples(st.just(k), st.integers(min_value=1, max_value=12 // k))),
+       seqs(12), seqs(12), walk_sides, walk_sides)
+def test_the_walk_equals_the_enumerated_pair_sum(k_order, f, g, f_side, g_side):
+    # entry n is the sum over the k-divisible pi in NC(kn), listed one by
+    # one, of f_pi g_Kr(pi), for kn up to 12
+    k, order = k_order
+
+    def side(name, seq):
+        return {"zeta": None, "plain": seq, "zero-led": _zero_led(seq, True),
+                "moebius": inc.moebius_family(12)}[name]
+    a, b = side(f_side, f), side(g_side, g)
+    want = [sum(cnt * (1 if a is None else prod(a[s] for s in lam))
+                * (1 if b is None else prod(b[s] for s in mu))
+                for (lam, mu), cnt in _pair_stats(k, n).items())
+            for n in range(1, order + 1)]
+    assert list(inc.kdivisible_conv(k, a, b, order)) == want
 
 
 @pytest.mark.parametrize("k", [-4, -3, -2, -1, 1, 2, 3, 4])

@@ -391,21 +391,20 @@ def test_xk_of_kdivisible_poisson_alpha():
 
 def test_xk_of_kdivisible_checks_the_kdivisible_cumulant_formula(monkeypatch):
     # the zeta power alpha * zeta^(k-1) runs every route; its "dilated"
-    # route is the k-divisible cumulant formula, a walk of NC^(k-1)(n),
-    # which with zeta on the right reads the type counts of NC^(k-1)(n)
+    # route is the k-divisible cumulant formula, one walk of NC^(k-1)(n)
     powers, walked = [], set()
-    real_power, real_counts = inc.zeta_power_conv, inc._type_counts
+    real_power, real_walk = inc.zeta_power_conv, inc.kdivisible_conv
 
     def spy_power(g, k, order, route="series"):
         powers.append((k, route))
         return real_power(g, k, order, route=route)
 
-    def spy_counts(k, n):
+    def spy_walk(k, f, g, order):
         walked.add(k)
-        return real_counts(k, n)
+        return real_walk(k, f, g, order)
 
     monkeypatch.setattr(inc, "zeta_power_conv", spy_power)
-    monkeypatch.setattr(inc, "_type_counts", spy_counts)
+    monkeypatch.setattr(inc, "kdivisible_conv", spy_walk)
     ksym.xk_of_kdivisible(RationalSequence.constant(1, 4), 3, 4)
     assert [route for k, route in powers if k == 2] == ["both"]
     assert walked == {1, 2}
@@ -546,3 +545,31 @@ def test_mult_additive_identity_on_monomials(t):
 def test_monomial_json_roundtrip():
     m = ksym.stable_add_power(ksym.ksym_stable_monomial(3, Fraction(1, 2)), 2)
     assert StableMonomial.from_json(m.to_json()) == m
+
+
+def _scalar_parameter_sites():
+    d, jump, m = ksym.semicircle_sk(2, 4), ksym.haar_unitary_law(2, 8), ksym.ksemicircle_monomial(2)
+    return {
+        "boxplus_power": lambda x: ksym.boxplus_power(d, x, 4),
+        "compound_poisson": lambda x: ksym.compound_poisson(2, x, jump, 4),
+        "poisson_limit_gap": lambda x: ksym.poisson_limit_gap(2, x, jump, 3, 4),
+        "infdiv_power_identity_check": lambda x: ksym.infdiv_power_identity_check(x, jump, 2, 3),
+        "stable_add_power": lambda x: ksym.stable_add_power(m, x),
+        "stable_dilate": lambda x: ksym.stable_dilate(m, x),
+        "positive_stable_monomial": ksym.positive_stable_monomial,
+        "ksym_stable_monomial": lambda x: ksym.ksym_stable_monomial(2, x),
+        "stable_reproducing_check, t": lambda x: ksym.stable_reproducing_check(2, x, 1),
+        "stable_reproducing_check, s": lambda x: ksym.stable_reproducing_check(2, 1, x),
+        "free_add_power": lambda x: tr.free_add_power(RationalSequence([1, 2]), x),
+        "point_mass_moments": lambda x: tr.point_mass_moments(x, 3),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_scalar_parameter_sites()))
+def test_a_non_finite_scalar_parameter_is_a_validation_error(site):
+    call = _scalar_parameter_sites()[site]
+    call(1)
+    call(0.5)
+    for x in (float("nan"), float("inf"), float("-inf"), "1/0", None):
+        with pytest.raises(ValidationError, match="must be a finite rational"):
+            call(x)

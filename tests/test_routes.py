@@ -121,6 +121,10 @@ def _refuse(*args, **kwargs):
     raise AssertionError("this route must not get here")
 
 
+# the private helpers of incidence that only a walk reaches
+WALK_HELPERS = ("_admit", "_power_coeffs")
+
+
 @pytest.mark.parametrize("name", sorted(ISOLATED))
 def test_series_routes_never_walk_and_enumeration_routes_never_invert(name, monkeypatch):
     call, series_routes, enumeration_routes = ISOLATED[name]
@@ -128,8 +132,8 @@ def test_series_routes_never_walk_and_enumeration_routes_never_invert(name, monk
     for route in enumeration_routes:
         assert call(route) == want
     with monkeypatch.context() as patch:
-        patch.setattr(incidence, "_types", _refuse)
-        patch.setattr(incidence, "_type_counts", _refuse)
+        for helper in WALK_HELPERS:
+            patch.setattr(incidence, helper, _refuse)
         for route in series_routes:
             assert call(route) == want
     with monkeypatch.context() as patch:
@@ -156,8 +160,8 @@ def test_the_trivial_power_checks_the_route_and_neither_walks_nor_solves(name, m
     call, routes, want = TRIVIAL[name]
     with pytest.raises(ValidationError, match="unknown route 'bogus'"):
         call("bogus")
-    monkeypatch.setattr(incidence, "_types", _refuse)
-    monkeypatch.setattr(incidence, "_type_counts", _refuse)
+    for helper in WALK_HELPERS:
+        monkeypatch.setattr(incidence, helper, _refuse)
     monkeypatch.setattr(series, "_lagrange", _refuse)
     for route in [*routes, "both"]:
         assert call(route) == want

@@ -463,6 +463,19 @@ def test_compose_and_solve_reject_a_negative_order():
     assert se.compose(a, b, 0) == PowerSeries([1])
 
 
+def test_mul_and_power_reject_a_negative_order():
+    a, b = PowerSeries([1, 2, 3]), PowerSeries([Fraction(1, 2), 0, -1])
+    for order in (-1, -5):
+        message = f"a series order must be >= 0, not {order}"
+        with pytest.raises(ValidationError, match=message):
+            se.mul(a, b, order)
+        for e in (-2, 0, 2):  # e = 0 once returned the series 1
+            with pytest.raises(ValidationError, match=message):
+                se.power(a, e, order)
+    assert se.mul(a, b, 0) == PowerSeries([Fraction(1, 2)])
+    assert se.power(a, 0, 0) == se.power(a, 3, 0) == PowerSeries([1])
+
+
 def test_short_B_is_read_as_a_polynomial():
     n = 9
     cat = se.solve_A_given_B(PowerSeries([1, 1]), 2, n)
