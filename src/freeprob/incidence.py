@@ -37,7 +37,7 @@ from math import comb, lcm
 
 from . import ncpart, series
 from .errors import ValidationError, run_route
-from .sequences import RationalSequence
+from .sequences import RationalSequence, check_int
 from .series import PowerSeries
 
 
@@ -102,8 +102,7 @@ def conv(f: RationalSequence, g: RationalSequence, order: int | None = None,
     kdivisible_conv(1, f, g, order) is the walk over NC(n) that the tests
     hold it against.
     """
-    if not isinstance(t, int):
-        raise ValidationError(f"the convolution power t must be an integer, not {t!r}")
+    check_int(t, "the convolution power t")
     if order is None:
         order = min(f.order, g.order)
     if min(f.order, g.order) < order:
@@ -148,6 +147,7 @@ def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | No
     [z^n] F^j [z^N] G^(N+1-j) / (j (N + 1 - j)), which reads only
     f_k..f_(k order) and g_1..g_order.
     """
+    check_int(k, "k")
     if any(a is not None and a.order < k * order for a in (f, g)):
         raise ValidationError("operand order too small for requested convolution order")
     for n in range(1, order + 1):
@@ -166,12 +166,14 @@ def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | No
     return RationalSequence(out)
 
 
-def dilate(a: RationalSequence, k: int) -> RationalSequence:
-    """k-dilation: value a_n moves to position kn, zeros elsewhere."""
+def dilate(a: RationalSequence, k: int, order: int | None = None) -> RationalSequence:
+    """k-dilation: value a_n moves to position kn, zeros elsewhere.  Only
+    entries 1..order are built, by default all k * a.order of them."""
+    check_int(k, "k")
     if k < 1:
         raise ValidationError("dilation factor must be >= 1")
-    vals = [Fraction(0)] * (k * a.order)
-    for n in range(1, a.order + 1):
+    vals = [Fraction(0)] * (k * a.order if order is None else order)
+    for n in range(1, len(vals) // k + 1):
         vals[k * n - 1] = a[n]
     return RationalSequence(vals)
 
@@ -199,6 +201,7 @@ def zeta_power_conv(g: RationalSequence, k: int, order: int,
     in NC^|k|.  Both walks convolve with zeta, or with the Moebius
     family when k < 0.  At k = 0 every route is g itself.
     """
+    check_int(k, "k")
     if g.order < order:
         raise ValidationError("operand order too small")
     steps = abs(k)

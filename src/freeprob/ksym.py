@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import incidence, ncpart, transforms
 from .series import nth_root_int as _root
 from .errors import ValidationError, run_route
-from .sequences import RationalSequence, frac_from_str, frac_param, frac_to_str
+from .sequences import RationalSequence, check_int, frac_from_str, frac_param, frac_to_str
 
 
 class KSymmetricDistribution:
@@ -55,7 +55,7 @@ class KSymmetricDistribution:
     def full_moments(self, order: int) -> RationalSequence:
         if order > self.k * self.base.order:
             raise ValidationError("not enough base moments")
-        return RationalSequence([self.moment(n) for n in range(1, order + 1)])
+        return incidence.dilate(self.base, self.k, order)
 
     def determining_sequence(self, order: int | None = None) -> RationalSequence:
         """alpha_n = kappa_{kn}, the base times moebius^k: A = 1 + base(z)
@@ -143,6 +143,7 @@ def clt_scaled_cumulants(d: KSymmetricDistribution, n_samples: int,
     Exactness requires n_samples to be a perfect k-th power (the factor
     is then b^(k-i) with b the integer root) and kappa_k = 1.
     """
+    check_int(n_samples, "n_samples")
     alpha = d.determining_sequence(-(-order // d.k))
     if alpha[1] != 1:
         raise ValidationError("normalize first: kappa_k must be 1")
@@ -177,6 +178,7 @@ def poisson_limit_gap(k: int, rate, jump: KSymmetricDistribution,
     """|kappa_n(((1 - rate/N) delta_0 + (rate/N) jump)^{boxplus N}) -
     rate * m_n(jump)| for n = 1..order, exactly."""
     rate = frac_param(rate, "rate")
+    check_int(n_samples, "n_samples")
     if rate <= 0 or n_samples < 1:
         raise ValidationError("rate and n_samples must be positive")
     if jump.k != k:
@@ -198,6 +200,7 @@ def xk_of_kdivisible(alpha: RationalSequence, k: int, order: int) -> RationalSeq
     ("dilated", a walk of NC^(k-1)(n)) and the law identity distr(x^k) =
     (free Poisson)^{boxtimes (k-1)} boxtimes nu ("iterated") must agree.
     """
+    check_int(k, "k")
     if k < 1:
         raise ValidationError("k must be >= 1")
     mom_nu = transforms.cumulants_to_moments(alpha.prefix(order), order)
@@ -217,8 +220,7 @@ def boxtimes_power_moments(mu: RationalSequence, k: int, order: int,
     incidence.kdivisible_conv and needs moments up to k*order; "both" checks
     agreement.
     """
-    if not isinstance(k, int):
-        raise ValidationError(f"k must be an integer, not {k!r}")
+    check_int(k, "k")
     if k < 1:
         raise ValidationError("k must be >= 1")
     if not transforms.hankel_check(mu.prefix(min(mu.order, 2 * order)), stieltjes=True):
@@ -270,7 +272,7 @@ class StableMonomial(namedtuple("StableMonomial", "scale phase_pi exponent theta
     __slots__ = ()
 
     def __new__(cls, scale=1, phase_pi=0, exponent=0, theta=(), power_atoms=()):
-        scale = Fraction(scale)
+        scale = frac_param(scale, "scale")
         if scale <= 0:
             raise ValidationError("monomial scale must be positive")
         # canonicalize power atoms: factor every base into primes, sum
@@ -280,7 +282,7 @@ class StableMonomial(namedtuple("StableMonomial", "scale phase_pi exponent theta
         # rational powers compare equal
         per_prime: dict = {}
         for b, e in power_atoms:
-            b, e = Fraction(b), Fraction(e)
+            b, e = frac_param(b, "power atom base"), frac_param(e, "power atom exponent")
             if b <= 0:
                 raise ValidationError("power atom base must be positive")
             for p, m in _prime_factors(b.numerator):
@@ -294,8 +296,9 @@ class StableMonomial(namedtuple("StableMonomial", "scale phase_pi exponent theta
             scale *= Fraction(p) ** whole
             if frac != 0:
                 atoms.append((Fraction(p), frac))
-        return super().__new__(cls, scale, Fraction(phase_pi) % 2, Fraction(exponent),
-                               tuple(sorted(Fraction(a) for a in theta)), tuple(sorted(atoms)))
+        theta = tuple(sorted(frac_param(a, "theta") for a in theta))
+        return super().__new__(cls, scale, frac_param(phase_pi, "phase_pi") % 2,
+                               frac_param(exponent, "exponent"), theta, tuple(sorted(atoms)))
 
     def to_json(self) -> dict:
         out = {

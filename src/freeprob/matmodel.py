@@ -13,7 +13,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from . import transforms
+from . import incidence, transforms
 from .errors import ValidationError
 from .sequences import RationalSequence, _decimal_str, frac_to_str
 
@@ -105,8 +105,7 @@ def normalized_trace(perms, word) -> Fraction:
 def predicted_word_moment(r: int, k: int, word) -> Fraction:
     """Trace the word should approach: the joint moment of r free k-Haar
     unitaries, evaluated exactly by the word-moment oracle."""
-    haar = RationalSequence([Fraction(1) if j % k == 0 else Fraction(0)
-                             for j in range(1, k + 1)])
+    haar = incidence.dilate(RationalSequence([1]), k)
     variables = [transforms.FreeVariable(f"u{i}", haar, period=k)
                  for i in range(1, r + 1)]
     letters = [(f"u{idx}", exp) for idx, exp in normalize_word(word)]

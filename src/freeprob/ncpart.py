@@ -334,19 +334,6 @@ def one_partition(n: int) -> NCPartition:
     return _wrap(n, (tuple(range(1, n + 1)),))
 
 
-def interval_partition(group_sizes) -> NCPartition:
-    """Consecutive blocks of the given sizes, e.g. (2,3) -> {1,2}{3,4,5}."""
-    sizes = list(group_sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValidationError(f"invalid grouping {group_sizes!r}")
-    blocks = []
-    start = 1
-    for s in sizes:
-        blocks.append(tuple(range(start, start + s)))
-        start += s
-    return _wrap(start - 1, tuple(blocks))
-
-
 # ---------------------------------------------------------------------------
 # text format: blocks in canonical order, e.g. {1,2,5}{3,4}
 

@@ -43,6 +43,12 @@ def frac_param(x, name: str) -> Fraction:
         raise ValidationError(f"{name} must be a finite rational, not {x!r}") from exc
 
 
+def check_int(x, name: str) -> None:
+    """A float or a Fraction, even a whole one, is a ValidationError."""
+    if not isinstance(x, int):
+        raise ValidationError(f"{name} must be an integer, not {x!r}")
+
+
 def _entry_from_json(s) -> Fraction:
     if isinstance(s, str):
         return frac_from_str(s)
@@ -65,12 +71,14 @@ class RationalSequence:
 
     @classmethod
     def constant(cls, c, order: int) -> "RationalSequence":
-        return cls([Fraction(c)] * order)
+        return cls([frac_param(c, "c")] * order)
 
     @classmethod
     def unit_vector(cls, index: int, order: int, value=1) -> "RationalSequence":
+        if not 1 <= index <= order:
+            raise ValidationError(f"index {index} outside 1..{order}")
         vals = [Fraction(0)] * order
-        vals[index - 1] = Fraction(value)
+        vals[index - 1] = frac_param(value, "value")
         return cls(vals)
 
     @classmethod
@@ -123,7 +131,7 @@ class RationalSequence:
         return RationalSequence(self._vals[:order])
 
     def scale(self, t) -> "RationalSequence":
-        t = Fraction(t)
+        t = frac_param(t, "t")
         return RationalSequence([t * v for v in self._vals])
 
     def add(self, other: "RationalSequence") -> "RationalSequence":

@@ -14,10 +14,11 @@ owns every walk of a zeta power.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import incidence, ncpart, series
 from .errors import ValidationError, run_route
-from .sequences import RationalSequence, frac_param
+from .sequences import RationalSequence, check_int, frac_param
 from .series import PowerSeries, PuiseuxSeries
 
 # ---------------------------------------------------------------------------
@@ -83,21 +84,22 @@ def product_moments(cum_a: RationalSequence, mom_b: RationalSequence,
 
 
 def products_as_arguments(cum: RationalSequence, grouping) -> Fraction:
-    """Joint cumulant of consecutive products, as a sum over the p in
-    NC(n) with p v sigma = 1_n, sigma the grouping's interval partition.
-    Kr reverses the order, so that is Kr(p) ^ Kr(sigma) = 0_n."""
-    sizes = list(grouping)
-    n = sum(sizes)
-    if any(s < 1 for s in sizes) or n < 1:
+    """kappa_r(a^{s_1}, ..., a^{s_r}) for a with cumulants cum: the sum over
+    sigma in NC(r) of mu(sigma, 1_r) = moebius_{Kr(sigma)} times the product
+    over V in sigma of m_{sum of s_i, i in V}; kappa_n when every s_i = 1."""
+    sizes = list(grouping) if hasattr(grouping, "__iter__") else []
+    if not sizes or not all(isinstance(s, int) and s >= 1 for s in sizes):
         raise ValidationError(f"invalid grouping {grouping!r}")
+    n, r = sum(sizes), len(sizes)
     if cum.order < n:
         raise ValidationError("cumulant sequence too short for grouping")
-    owner = ncpart.kreweras(ncpart.interval_partition(sizes)).block_of()
-    total = Fraction(0)
-    for p in ncpart.iter_nc(n):
-        if all(len({owner[x] for x in b}) == len(b) for b in ncpart.kreweras(p).blocks):
-            total += incidence.extend(cum, p)
-    return total
+    if r == n:
+        return cum[n]
+    sigmas = ncpart.iter_nc(r)  # the budget, before any work
+    mom, moebius = cumulants_to_moments(cum, n), incidence.moebius_family(r)
+    return sum((incidence.extend(moebius, ncpart.kreweras(sigma))
+                * prod(mom[sum(sizes[i - 1] for i in b)] for b in sigma.blocks)
+                for sigma in sigmas), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,7 @@ def kdiv_power_cumulants(alpha: RationalSequence, k: int, order: int,
     * "zeta" (the default): its "series" route.
     At k = 1 every route is alpha itself.
     """
+    check_int(k, "k")
     if k < 1:
         raise ValidationError("k must be >= 1")
     routes = {
@@ -269,16 +272,13 @@ def free_poisson_moments(order: int) -> RationalSequence:
 
 def semicircle_moments(order: int) -> RationalSequence:
     """Standard semicircle: m_{2n} = Catalan(n), odd moments vanish."""
-    vals = []
-    for n in range(1, order + 1):
-        vals.append(Fraction(ncpart.catalan(n // 2)) if n % 2 == 0 else Fraction(0))
-    return RationalSequence(vals)
+    return incidence.dilate(free_poisson_moments(order // 2 + 1), 2, order)
 
 
 def atomic_moments(atoms, order: int) -> RationalSequence:
     """Moments of a finitely atomic measure given as (location, weight)
     pairs; weights must be positive and sum to 1."""
-    pairs = [(Fraction(x), Fraction(w)) for x, w in atoms]
+    pairs = [(frac_param(x, "location"), frac_param(w, "weight")) for x, w in atoms]
     if any(w <= 0 for _, w in pairs) or sum(w for _, w in pairs) != 1:
         raise ValidationError("weights must be positive and sum to 1")
     return RationalSequence(

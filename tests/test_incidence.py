@@ -11,6 +11,7 @@ from freeprob import incidence as inc
 from freeprob import ncpart as nc
 from freeprob import series
 from freeprob.errors import ResourceLimitError, ValidationError
+from freeprob.ksym import KSymmetricDistribution
 from freeprob.sequences import RationalSequence
 from oracles import (catalan_by_recurrence, conv_power_by_steps, multichain_count_enumerated,
                      pair_stats_by_enumeration)
@@ -195,6 +196,28 @@ def test_conv_rejects_a_power_that_is_not_an_integer():
     for t in (2.0, Fraction(3, 2), Fraction(2), 0.0):
         with pytest.raises(ValidationError, match="t must be an integer"):
             inc.conv(f, g, 3, t)
+
+
+def test_unit_vector_rejects_an_index_outside_its_order():
+    # a negative index used to wrap around from the end of the list
+    assert RationalSequence.unit_vector(3, 3, 2) == RationalSequence([0, 0, 2])
+    for index, order in ((0, 3), (-1, 3), (4, 3), (1, 0)):
+        with pytest.raises(ValidationError, match=rf"index {index} outside 1\.\.{order}$"):
+            RationalSequence.unit_vector(index, order)
+    with pytest.raises(ValidationError, match=r"index 1 outside 1\.\.0$"):
+        inc.delta_family(0)
+
+
+def test_dilate_to_an_order_builds_that_prefix_only():
+    a = RationalSequence([1, Fraction(-2, 3), 5])
+    for k in range(1, 4):
+        for order in range(1, 3 * k + 1):
+            assert inc.dilate(a, k, order) == inc.dilate(a, k).prefix(order)
+    # k * a.order entries are never listed: a_1 sits past the prefix
+    assert inc.dilate(a, 10**9, 3) == RationalSequence([0, 0, 0])
+    assert KSymmetricDistribution(10**9, a).full_moments(2) == RationalSequence([0, 0])
+    with pytest.raises(ValidationError, match=r"index 4 outside 1\.\.3"):
+        inc.dilate(a, 2, 8)  # entry 8 is a_4
 
 
 def test_conv_and_the_walk_share_the_operand_order_check():

@@ -562,6 +562,18 @@ def _scalar_parameter_sites():
         "stable_reproducing_check, s": lambda x: ksym.stable_reproducing_check(2, 1, x),
         "free_add_power": lambda x: tr.free_add_power(RationalSequence([1, 2]), x),
         "point_mass_moments": lambda x: tr.point_mass_moments(x, 3),
+        "atomic_moments, location": lambda x: tr.atomic_moments([(x, 1)], 3),
+        # one atom of weight 1, or two of weight 1/2
+        "atomic_moments, weight": lambda x: tr.atomic_moments([(1, x)] * (2 if x == 0.5 else 1), 3),
+        "RationalSequence.scale": lambda x: RationalSequence([1, 2]).scale(x),
+        "RationalSequence.constant": lambda x: RationalSequence.constant(x, 3),
+        "RationalSequence.unit_vector": lambda x: RationalSequence.unit_vector(1, 3, x),
+        "StableMonomial, scale": StableMonomial,
+        "StableMonomial, phase_pi": lambda x: StableMonomial(1, x),
+        "StableMonomial, exponent": lambda x: StableMonomial(1, 0, x),
+        "StableMonomial, theta": lambda x: StableMonomial(1, 0, 0, (x,)),
+        "StableMonomial, power atom base": lambda x: StableMonomial(1, 0, 0, (), ((x, 1),)),
+        "StableMonomial, power atom exponent": lambda x: StableMonomial(1, 0, 0, (), ((2, x),)),
     }
 
 

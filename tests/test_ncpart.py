@@ -402,8 +402,9 @@ def test_join_through_kreweras_matches_the_merging_join():
 
 
 def _products_by_join_walk(cum, sizes):
-    n = sum(sizes)
-    anchor, full = nc.interval_partition(sizes), nc.one_partition(n).blocks
+    n, ends = sum(sizes), list(itertools.accumulate(sizes))
+    anchor = nc.Partition(n, [range(end - s + 1, end + 1) for s, end in zip(sizes, ends)])
+    full = nc.one_partition(n).blocks
     return sum((incidence.extend(cum, p) for p in nc.iter_nc(n)
                 if _join_by_merging(p, anchor) == full), Fraction(0))
 

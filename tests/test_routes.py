@@ -1,6 +1,7 @@
 """The route dispatcher: one helper behind every `route` argument."""
 
 import inspect
+import re
 import sys
 from fractions import Fraction
 
@@ -211,3 +212,25 @@ def test_defaults_are_the_series_routes():
     }
     for fn, route in defaults.items():
         assert inspect.signature(fn).parameters["route"].default == route
+
+
+def test_a_power_that_is_not_an_integer_is_refused_before_any_route_runs():
+    alpha, law = RationalSequence([1, 2, 3, 4, 5, 6]), ksym.semicircle_sk(2, 4)
+    for bad in (1.5, 2.0, Fraction(3, 2)):
+        k_error = re.escape(f"k must be an integer, not {bad!r}")
+        for route in ("series", "iterated", "dilated", "both"):
+            with pytest.raises(ValidationError, match=k_error):
+                incidence.zeta_power_conv(SEQ, bad, 3, route=route)
+        for route in ("enumeration", "two-stage", "zeta", "both"):
+            with pytest.raises(ValidationError, match=k_error):
+                transforms.kdiv_power_cumulants(alpha, bad, 3, route=route)
+        for call in (lambda: ksym.xk_of_kdivisible(alpha, bad, 3),
+                     lambda: incidence.kdivisible_conv(bad, SEQ, SEQ, 2),
+                     lambda: incidence.dilate(SEQ, bad)):
+            with pytest.raises(ValidationError, match=k_error):
+                call()
+        samples_error = re.escape(f"n_samples must be an integer, not {bad!r}")
+        for call in (lambda: ksym.poisson_limit_gap(2, 1, law, bad, 4),
+                     lambda: ksym.clt_scaled_cumulants(law, bad, 4)):
+            with pytest.raises(ValidationError, match=samples_error):
+                call()

@@ -10,7 +10,7 @@ from freeprob import ksym
 from freeprob import ncpart as nc
 from freeprob import series as se
 from freeprob import transforms as tr
-from freeprob.errors import ValidationError
+from freeprob.errors import ResourceLimitError, ValidationError
 from freeprob.sequences import RationalSequence
 from oracles import check_pair, rescale_to_monic, sum_moments_by_words
 
@@ -158,6 +158,46 @@ def test_products_as_arguments_trivial_groupings():
         tr.cumulants_to_moments(cum, 4)[4]
     with pytest.raises(ValidationError):
         tr.products_as_arguments(cum, [0, 2])
+
+
+def test_products_as_arguments_walks_nc_of_the_groups_only(monkeypatch):
+    walked = []
+    walk = nc._iter_spans
+    monkeypatch.setattr(nc, "_iter_spans", lambda *args: walked.append(args) or walk(*args))
+    cum = RationalSequence(range(1, 41))
+    tr.products_as_arguments(cum, [3, 2, 4, 3])
+    assert walked == [(4, 1, False)]
+    # kappa_n(a, ..., a) = kappa_n for any n, with nothing walked
+    assert tr.products_as_arguments(cum, [1] * 40) == cum[40]
+    assert walked == [(4, 1, False)]
+
+
+def test_products_as_arguments_budget_counts_groups(monkeypatch):
+    monkeypatch.setenv("FREEPROB_MAX_N", "4")
+    cum = RationalSequence(range(1, 11))
+    assert tr.products_as_arguments(cum, [2, 3, 1, 4]) is not None
+    with pytest.raises(ResourceLimitError, match=r"NC\(5\)"):
+        tr.products_as_arguments(cum, [2, 2, 2, 2, 2])
+
+
+@pytest.mark.parametrize("size, groups", [(4, 5), (5, 6), (3, 10)])
+def test_products_of_equal_size_are_the_cumulants_of_the_power(size, groups):
+    # kappa_r(a^s, ..., a^s) = kappa_r(a^s): m2c of (m_s, m_2s, ..., m_rs),
+    # here at n = 20 and 30, past the NC(n) budget
+    n = size * groups
+    cum = RationalSequence([Fraction((-1) ** j * j, j + 2) for j in range(1, n + 1)])
+    mom = tr.cumulants_to_moments(cum)
+    power = RationalSequence([mom[size * j] for j in range(1, groups + 1)])
+    assert tr.products_as_arguments(cum, [size] * groups) == tr.moments_to_cumulants(power)[groups]
+
+
+def test_products_as_arguments_rejects_a_grouping_that_is_not_sizes():
+    cum = RationalSequence([1, 2, 3])
+    for grouping in ([1.5, 1], "ab", 3, None, [], [0, 2], [2, -1], [Fraction(1), 1]):
+        with pytest.raises(ValidationError, match="invalid grouping"):
+            tr.products_as_arguments(cum, grouping)
+    with pytest.raises(ValidationError, match="too short for grouping"):
+        tr.products_as_arguments(cum, [2, 2])
 
 
 @settings(max_examples=10, deadline=None)
