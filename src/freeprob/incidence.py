@@ -88,6 +88,7 @@ def delta_family(order: int) -> RationalSequence:
 
 def moebius_family(order: int) -> RationalSequence:
     """Inverse of zeta under the convolution: ((-1)^(n-1) Catalan(n-1))_n."""
+    check_int(order, "order")
     return RationalSequence(
         [Fraction((-1) ** (n - 1) * ncpart.catalan(n - 1)) for n in range(1, order + 1)]
     )
@@ -105,6 +106,7 @@ def conv(f: RationalSequence, g: RationalSequence, order: int | None = None,
     check_int(t, "the convolution power t")
     if order is None:
         order = min(f.order, g.order)
+    check_int(order, "order")
     if min(f.order, g.order) < order:
         raise ValidationError("operand order too small for requested convolution order")
     if order < 1:
@@ -148,6 +150,7 @@ def kdivisible_conv(k: int, f: RationalSequence | None, g: RationalSequence | No
     f_k..f_(k order) and g_1..g_order.
     """
     check_int(k, "k")
+    check_int(order, "order")
     if any(a is not None and a.order < k * order for a in (f, g)):
         raise ValidationError("operand order too small for requested convolution order")
     for n in range(1, order + 1):
@@ -202,6 +205,7 @@ def zeta_power_conv(g: RationalSequence, k: int, order: int,
     family when k < 0.  At k = 0 every route is g itself.
     """
     check_int(k, "k")
+    check_int(order, "order")
     if g.order < order:
         raise ValidationError("operand order too small")
     steps = abs(k)

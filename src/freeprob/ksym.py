@@ -30,6 +30,7 @@ class KSymmetricDistribution:
     __slots__ = ("k", "base", "valid")
 
     def __init__(self, k: int, base: RationalSequence, valid: bool | None = None):
+        check_int(k, "k")
         if k < 1:
             raise ValidationError("k must be >= 1")
         self.k = k
@@ -106,6 +107,8 @@ def semicircle_sk(k: int, order: int) -> KSymmetricDistribution:
     """The k-symmetric central limit law: kappa_k = 1, all other
     cumulants vanish; the k-th power has the Fuss-Catalan moments
     binom(kn, n)/((k-1)n+1)."""
+    check_int(k, "k")
+    check_int(order, "order")
     base = RationalSequence([ncpart.count_kequal(k, n) for n in range(1, order + 1)])
     return KSymmetricDistribution(k, base, True)
 

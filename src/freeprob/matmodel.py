@@ -104,7 +104,8 @@ def normalized_trace(perms, word) -> Fraction:
 
 def predicted_word_moment(r: int, k: int, word) -> Fraction:
     """Trace the word should approach: the joint moment of r free k-Haar
-    unitaries, evaluated exactly by the word-moment oracle."""
+    unitaries, summed exactly from their free cumulants by
+    transforms.free_word_moment."""
     haar = incidence.dilate(RationalSequence([1]), k)
     variables = [transforms.FreeVariable(f"u{i}", haar, period=k)
                  for i in range(1, r + 1)]

@@ -30,6 +30,7 @@ import os
 from typing import Iterator
 
 from .errors import ResourceLimitError, ValidationError
+from .sequences import check_int
 
 Blocks = tuple  # tuple of tuples of ints
 
@@ -177,6 +178,7 @@ def _iter_spans(points: int, k: int, exact: bool) -> Iterator[Blocks]:
 
 def iter_nc_blocks(n: int, max_n: int | None = None) -> Iterator[Blocks]:
     """Stream raw canonical block tuples of NC(n) without wrapping them."""
+    check_int(n, "n")
     if n < 1:
         raise ValidationError("n must be >= 1")
     _check_budget(n, lambda: catalan(n), max_n, f"NC({n})")
@@ -237,6 +239,7 @@ def enumerate_kequal(k: int, n: int, max_n: int | None = None) -> list:
 
 
 def catalan(n: int) -> int:
+    check_int(n, "n")
     return math.comb(2 * n, n) // (n + 1)
 
 

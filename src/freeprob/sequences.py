@@ -71,10 +71,13 @@ class RationalSequence:
 
     @classmethod
     def constant(cls, c, order: int) -> "RationalSequence":
+        check_int(order, "order")
         return cls([frac_param(c, "c")] * order)
 
     @classmethod
     def unit_vector(cls, index: int, order: int, value=1) -> "RationalSequence":
+        check_int(index, "index")
+        check_int(order, "order")
         if not 1 <= index <= order:
             raise ValidationError(f"index {index} outside 1..{order}")
         vals = [Fraction(0)] * order
@@ -99,9 +102,13 @@ class RationalSequence:
 
     def __getitem__(self, n: int) -> Fraction:
         """1-based access: seq[n] is a_n."""
-        if not 1 <= n <= len(self._vals):
-            raise ValidationError(f"index {n} outside 1..{len(self._vals)}")
-        return self._vals[n - 1]
+        try:
+            if 1 <= n <= len(self._vals):
+                return self._vals[n - 1]
+        except TypeError:
+            check_int(n, "index")  # only a failed lookup pays for the check
+            raise
+        raise ValidationError(f"index {n} outside 1..{len(self._vals)}")
 
     def __iter__(self):
         return iter(self._vals)
@@ -122,6 +129,7 @@ class RationalSequence:
 
     def prefix(self, order: int) -> "RationalSequence":
         """a_1..a_order; a slice would read a negative order from the end."""
+        check_int(order, "order")
         if order < 1:
             raise ValidationError("a sequence needs order >= 1")
         if order > len(self._vals):

@@ -1,5 +1,5 @@
-"""Moment/cumulant calculus, free convolutions, the S-transform, and a
-word-moment evaluator driven directly by the definition of freeness.
+"""Moment/cumulant calculus, free convolutions, the S-transform, and
+moments of words in free variables, summed from their free cumulants.
 
 Every major identity here is computable along two independent routes
 (enumeration over non-crossing partitions vs. formal series equations).
@@ -33,8 +33,8 @@ def cumulants_to_moments(cum: RationalSequence, order: int | None = None,
     M(z) = C(z M(z)); route "enumeration" is its "iterated" walk of
     NC(n); "both" runs the two and insists they agree.
     """
-    if order is None:
-        order = cum.order
+    order = cum.order if order is None else order
+    check_int(order, "order")
     if cum.order < order:
         raise ValidationError("cumulant sequence too short")
     return run_route("cumulants_to_moments", route, {
@@ -46,8 +46,8 @@ def cumulants_to_moments(cum: RationalSequence, order: int | None = None,
 def moments_to_cumulants(mom: RationalSequence, order: int | None = None,
                          route: str = "series") -> RationalSequence:
     """Inverse of cumulants_to_moments; kappa = m * moebius."""
-    if order is None:
-        order = mom.order
+    order = mom.order if order is None else order
+    check_int(order, "order")
     if mom.order < order:
         raise ValidationError("moment sequence too short")
     return run_route("moments_to_cumulants", route, {
@@ -262,16 +262,19 @@ def hankel_check(mom: RationalSequence, stieltjes: bool = False) -> bool:
 
 def point_mass_moments(c, order: int) -> RationalSequence:
     c = frac_param(c, "c")
+    check_int(order, "order")
     return RationalSequence([c ** n for n in range(1, order + 1)])
 
 
 def free_poisson_moments(order: int) -> RationalSequence:
     """Marchenko-Pastur with rate 1: m_n = Catalan(n)."""
+    check_int(order, "order")
     return RationalSequence([ncpart.catalan(n) for n in range(1, order + 1)])
 
 
 def semicircle_moments(order: int) -> RationalSequence:
     """Standard semicircle: m_{2n} = Catalan(n), odd moments vanish."""
+    check_int(order, "order")
     return incidence.dilate(free_poisson_moments(order // 2 + 1), 2, order)
 
 
@@ -348,12 +351,14 @@ def _reduce_word(word, period=None) -> tuple:
 
 
 class WordMomentEvaluator:
-    """Evaluates phi(words) in free variables by the centering expansion.
+    """Evaluates phi(words) in free variables from their free cumulants.
 
-    Each letter a splits as (a - phi(a)) + phi(a); a fully centered
-    alternating product has vanishing trace, so expanding over the
-    letters with nonzero mean expresses phi(word) through strictly
-    shorter words.  Results are memoized on the reduced word.
+    Mixed free cumulants of free variables vanish (Nica-Speicher, Lecture
+    11), so with each letter x^e written as e letters x, phi(word) sums,
+    over the non-crossing partitions of the letters into one-variable
+    blocks V, the product of kappa_{|V|}: a first-block interval DP.  A
+    variable's cumulants come from its moments up to its letter count in
+    the reduced word, so a missing moment is a ValidationError.
     """
 
     def __init__(self, variables):
@@ -362,7 +367,6 @@ class WordMomentEvaluator:
         if len(self.vars) != len(variables):
             raise ValidationError("duplicate variable labels")
         self._periods = {v.label: v.period for v in variables}
-        self._memo: dict = {}
 
     def reduce(self, word) -> tuple:
         word = tuple(word)
@@ -376,36 +380,30 @@ class WordMomentEvaluator:
         return _reduce_word(word, self._periods.get)
 
     def phi(self, word) -> Fraction:
-        return self._phi(self.reduce(word))
-
-    def _phi(self, word: tuple) -> Fraction:
-        if not word:
-            return Fraction(1)
-        if len(word) == 1:
-            lab, e = word[0]
-            return self.vars[lab].moment(e)
-        hit = self._memo.get(word)
-        if hit is not None:
-            return hit
-        means = [self.vars[lab].moment(e) for lab, e in word]
-        live = [i for i, m in enumerate(means) if m != 0]
-        total = Fraction(0)
-        # phi(prod of centered letters) = 0, expanded over subsets of the
-        # letters with nonzero mean (centered letters equal themselves).
-        for mask in range(1, 1 << len(live)):
-            coeff = Fraction(1)
-            drop = []
-            for bit, idx in enumerate(live):
-                if mask >> bit & 1:
-                    coeff *= means[idx]
-                    drop.append(idx)
-            sub = _reduce_word(
-                [l for i, l in enumerate(word) if i not in drop], self._periods.get
-            )
-            sign = -1 if len(drop) % 2 == 0 else 1
-            total += sign * coeff * self._phi(sub)
-        self._memo[word] = total
-        return total
+        word = self.reduce(word)
+        # a reduced word of centred letters alternates, so phi vanishes
+        if word and not any(self.vars[lab].moment(e) for lab, e in word):
+            return Fraction(0)
+        letters = [lab for lab, e in word for _ in range(e)]
+        cums = {lab: moments_to_cumulants(RationalSequence(
+                    [self.vars[lab].moment(j) for j in range(1, letters.count(lab) + 1)]))
+                for lab in dict.fromkeys(letters)}
+        n = len(letters)
+        # m[i][j]: the sum for letters i..j-1, by the block of letter i;
+        # m[i][i] = 1, so the empty word is 1
+        m = [[Fraction(1)] * (n + 1) for _ in range(n + 1)]
+        for i in range(n - 1, -1, -1):
+            at = [l for l in range(i, n) if letters[l] == letters[i]]
+            # grow[t][s]: blocks {i, ..., at[t]} of s + 1 letters, gaps summed
+            grow = [[Fraction(1)]]
+            for t in range(1, len(at)):
+                grow.append([0, *(sum(grow[u][s] * m[at[u] + 1][at[t]] for u in range(s, t))
+                                  for s in range(t))])
+            cum = cums[letters[i]]
+            close = [sum(w * cum[s + 1] for s, w in enumerate(g)) for g in grow]
+            for j in range(i + 1, n + 1):
+                m[i][j] = sum(c * m[l + 1][j] for l, c in zip(at, close) if l < j)
+        return m[0][n]
 
 
 def free_word_moment(variables, word) -> Fraction:

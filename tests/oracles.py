@@ -11,7 +11,7 @@ from freeprob import series as se
 from freeprob.errors import ValidationError
 from freeprob.sequences import RationalSequence
 from freeprob.series import PowerSeries
-from freeprob.transforms import WordMomentEvaluator
+from freeprob.transforms import WordMomentEvaluator, _reduce_word
 
 
 def check_pair(a: PowerSeries, b: PowerSeries, mode: str, k: int,
@@ -130,10 +130,58 @@ def conv_power_by_steps(f: RationalSequence, g: RationalSequence, order: int,
     return f
 
 
+class CenteringWordMoments(WordMomentEvaluator):
+    """Evaluates phi(words) in free variables by the centering expansion;
+    oracle for WordMomentEvaluator, which sums free cumulants instead.
+
+    Each letter a splits as (a - phi(a)) + phi(a); a fully centered
+    alternating product has vanishing trace, so expanding over the
+    letters with nonzero mean expresses phi(word) through strictly
+    shorter words.  Results are memoized on the reduced word.  Only
+    moments are read, never moments_to_cumulants.
+    """
+
+    def __init__(self, variables):
+        super().__init__(variables)
+        self._memo: dict = {}
+
+    def phi(self, word) -> Fraction:
+        return self._phi(self.reduce(word))
+
+    def _phi(self, word: tuple) -> Fraction:
+        if not word:
+            return Fraction(1)
+        if len(word) == 1:
+            lab, e = word[0]
+            return self.vars[lab].moment(e)
+        hit = self._memo.get(word)
+        if hit is not None:
+            return hit
+        means = [self.vars[lab].moment(e) for lab, e in word]
+        live = [i for i, m in enumerate(means) if m != 0]
+        total = Fraction(0)
+        # phi(prod of centered letters) = 0, expanded over subsets of the
+        # letters with nonzero mean (centered letters equal themselves).
+        for mask in range(1, 1 << len(live)):
+            coeff = Fraction(1)
+            drop = []
+            for bit, idx in enumerate(live):
+                if mask >> bit & 1:
+                    coeff *= means[idx]
+                    drop.append(idx)
+            sub = _reduce_word(
+                [l for i, l in enumerate(word) if i not in drop], self._periods.get
+            )
+            sign = -1 if len(drop) % 2 == 0 else 1
+            total += sign * coeff * self._phi(sub)
+        self._memo[word] = total
+        return total
+
+
 def sum_moments_by_words(var_a, var_b, order: int) -> RationalSequence:
-    """Moments of a+b for free a, b evaluated letter by letter; oracle
-    for cumulant additivity."""
-    ev = WordMomentEvaluator([var_a, var_b])
+    """Moments of a+b for free a, b evaluated letter by letter by the
+    centering expansion; oracle for cumulant additivity."""
+    ev = CenteringWordMoments([var_a, var_b])
     out = []
     for n in range(1, order + 1):
         total = Fraction(0)

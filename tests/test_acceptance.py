@@ -18,7 +18,7 @@ from freeprob import ncpart as nc
 from freeprob import series as se
 from freeprob import transforms as tr
 from freeprob.sequences import RationalSequence
-from oracles import multichain_count_enumerated
+from oracles import CenteringWordMoments, multichain_count_enumerated
 
 
 @contextmanager
@@ -127,18 +127,17 @@ def test_criterion_06_product_word_moments():
                 assert tr.hankel_check(mx, stieltjes=True)
                 base = random_positive_law(rnd, nmax)
                 my = inc.dilate(base, k)
-                ev = tr.WordMomentEvaluator([
-                    tr.FreeVariable("x", mx),
-                    tr.FreeVariable("y", my),
-                ])
+                variables = [tr.FreeVariable("x", mx), tr.FreeVariable("y", my)]
+                ev = tr.WordMomentEvaluator(variables)
+                oracle = CenteringWordMoments(variables)
                 cum = tr.moments_to_cumulants(base, nmax)
                 cx = tr.moments_to_cumulants(mx.prefix(nmax), nmax)
                 for _ in range(k):
                     cum = tr.free_mult_convolve(cum, cx, nmax)
                 rhs = tr.cumulants_to_moments(cum, nmax)
                 for n in range(1, nmax + 1):
-                    lhs = ev.phi([("x", 1), ("y", 1)] * (k * n))
-                    assert lhs == rhs[n], (rep, k, n)
+                    word = [("x", 1), ("y", 1)] * (k * n)
+                    assert oracle.phi(word) == ev.phi(word) == rhs[n], (rep, k, n)
 
 
 def test_criterion_07_s_transform():

@@ -585,3 +585,47 @@ def test_a_non_finite_scalar_parameter_is_a_validation_error(site):
     for x in (float("nan"), float("inf"), float("-inf"), "1/0", None):
         with pytest.raises(ValidationError, match="must be a finite rational"):
             call(x)
+
+
+def _integer_parameter_sites():
+    s = RationalSequence([1, 2, 3, 4, 5, 6])
+    return {
+        "cumulants_to_moments": lambda x: tr.cumulants_to_moments(s, x),
+        "moments_to_cumulants": lambda x: tr.moments_to_cumulants(s, x),
+        "conv": lambda x: inc.conv(s, s, x),
+        "zeta_power_conv": lambda x: inc.zeta_power_conv(s, 1, x),
+        "kdivisible_conv": lambda x: inc.kdivisible_conv(1, s, s, x),
+        "moebius_family": inc.moebius_family,
+        "RationalSequence.prefix": s.prefix,
+        "RationalSequence.constant": lambda x: RationalSequence.constant(1, x),
+        "RationalSequence.unit_vector, index": lambda x: RationalSequence.unit_vector(x, 3),
+        "RationalSequence.unit_vector, order": lambda x: RationalSequence.unit_vector(1, x),
+        "RationalSequence[n]": lambda x: s[x],
+        "iter_nc": nc.iter_nc,
+        "catalan": nc.catalan,
+        "free_poisson_moments": tr.free_poisson_moments,
+        "semicircle_moments": tr.semicircle_moments,
+        "point_mass_moments": lambda x: tr.point_mass_moments(1, x),
+        "semicircle_sk, k": lambda x: ksym.semicircle_sk(x, 3),
+        "semicircle_sk, order": lambda x: ksym.semicircle_sk(2, x),
+        "haar_unitary_law, k": lambda x: ksym.haar_unitary_law(x, 3),
+        "haar_unitary_law, order": lambda x: ksym.haar_unitary_law(2, x),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_integer_parameter_sites()))
+def test_a_non_integer_order_size_or_index_is_a_validation_error(site):
+    call = _integer_parameter_sites()[site]
+    call(2)
+    for x in (2.0, 2.5, Fraction(5, 2)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call(x)
+
+
+def test_ksymmetric_law_needs_an_integer_k():
+    base = RationalSequence([1, 2])
+    assert KSymmetricDistribution(2, base).moment(2) == 1
+    with pytest.raises(ValidationError, match="k must be an integer, not 2.0"):
+        KSymmetricDistribution(2.0, base)
+    with pytest.raises(ValidationError, match='"k" must be an integer, got 2.0'):
+        KSymmetricDistribution.from_json({"k": 2.0, "base": ["1/1", "2/1"]})

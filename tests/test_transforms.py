@@ -12,7 +12,7 @@ from freeprob import series as se
 from freeprob import transforms as tr
 from freeprob.errors import ResourceLimitError, ValidationError
 from freeprob.sequences import RationalSequence
-from oracles import check_pair, rescale_to_monic, sum_moments_by_words
+from oracles import CenteringWordMoments, check_pair, rescale_to_monic, sum_moments_by_words
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -490,6 +490,54 @@ def test_word_moment_agrees_with_monochromatic_partition_sum():
     ):
         word = [(lab, 1) for lab in labels]
         assert ev.phi(word) == oracle(labels), labels
+
+
+maybe_centred = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def free_words(draw):
+    """2-3 free variables, each aperiodic or of period 2 or 3, and a word
+    of up to 7 letters with at least one repeated adjacent label when
+    nonempty; periodic letters take exponents in -3..3."""
+    variables = []
+    for label in "xyz"[:draw(st.integers(2, 3))]:
+        period = draw(st.sampled_from([None, 2, 3]))
+        if period is None:
+            moments = draw(st.lists(maybe_centred, min_size=14, max_size=14))
+        else:
+            cycle = draw(st.lists(maybe_centred, min_size=period - 1, max_size=period - 1))
+            moments = [(cycle + [1])[(j - 1) % period] for j in range(1, 15)]
+        variables.append(tr.FreeVariable(label, RationalSequence(moments), period))
+    letter = st.sampled_from(variables).flatmap(lambda v: st.tuples(
+        st.just(v.label), st.integers(-3, 3) if v.period else st.integers(1, 2)))
+    word = draw(st.lists(letter, max_size=6))
+    i = draw(st.integers(0, max(len(word) - 1, 0)))
+    return variables, word[:i + 1] + word[i:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(free_words())
+def test_word_moment_equals_the_centering_expansion(case):
+    variables, word = case
+    assert tr.WordMomentEvaluator(variables).phi(word) == \
+        CenteringWordMoments(variables).phi(word)
+
+
+def test_word_moment_reads_moments_up_to_the_letter_count():
+    x = tr.FreeVariable("x", RationalSequence([1, 2]))
+    y = tr.FreeVariable("y", RationalSequence([0, 1]))
+    word = [("x", 1), ("y", 1), ("x", 1), ("y", 1), ("x", 1)]
+    # centering never reads m_3(x); the cumulant sum needs kappa_3(x)
+    assert CenteringWordMoments([x, y]).phi(word) == 2
+    with pytest.raises(ValidationError, match="moment 3 of 'x' not available"):
+        tr.free_word_moment([x, y], word)
+    # every reduced letter centred: 0 from the means, though m_4(x) and
+    # m_2(y) are missing
+    x2 = tr.FreeVariable("x", RationalSequence([1, 0]))
+    y1 = tr.FreeVariable("y", RationalSequence([0]))
+    assert tr.free_word_moment([x2, y1], [("x", 2), ("y", 1), ("x", 1), ("x", 1), ("y", 1)]) == 0
+    assert tr.free_word_moment([x2, y1], []) == 1
 
 
 def test_word_moment_period_variables():
