@@ -35,7 +35,8 @@ from .errors import IrrationalRootError, ValidationError
 
 
 def _coerce(values) -> tuple:
-    return tuple(Fraction(v) for v in values)
+    # a Fraction is kept as it is, as RationalSequence does
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 class PowerSeries:

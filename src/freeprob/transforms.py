@@ -1,5 +1,7 @@
-"""Moment/cumulant calculus, free convolutions, the S-transform, and
-moments of words in free variables, summed from their free cumulants.
+"""Moment/cumulant calculus, free convolutions, the S-transform,
+moments of words in free variables summed from their free cumulants,
+and freeness as vanishing mixed free cumulants.  Products-as-arguments
+and the freeness check invert moments on NC(r) with one private helper.
 
 Every major identity here is computable along two independent routes
 (enumeration over non-crossing partitions vs. formal series equations).
@@ -14,6 +16,8 @@ owns every walk of a zeta power.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import prod
 
 from . import incidence, ncpart, series
@@ -83,10 +87,21 @@ def product_moments(cum_a: RationalSequence, mom_b: RationalSequence,
     return incidence.conv(cum_a, mom_b, order)
 
 
+def _cumulant_by_inversion(r: int, moment) -> Fraction:
+    """kappa_r(x_1, ..., x_r) from moments of products of its arguments: the
+    sum over sigma in NC(r) of mu(sigma, 1_r) = moebius_{Kr(sigma)} times the
+    product over V in sigma of moment(V), the moment of the product of the
+    x_i, i in V (Nica-Speicher, Lectures 10-11).  NC(r) meets the budget
+    before moment is first called, and is walked once."""
+    sigmas = ncpart.iter_nc(r)  # the budget, before any moment
+    moebius = incidence.moebius_family(r)
+    return sum((incidence.extend(moebius, ncpart.kreweras(sigma))
+                * prod(moment(b) for b in sigma.blocks) for sigma in sigmas), Fraction(0))
+
+
 def products_as_arguments(cum: RationalSequence, grouping) -> Fraction:
-    """kappa_r(a^{s_1}, ..., a^{s_r}) for a with cumulants cum: the sum over
-    sigma in NC(r) of mu(sigma, 1_r) = moebius_{Kr(sigma)} times the product
-    over V in sigma of m_{sum of s_i, i in V}; kappa_n when every s_i = 1."""
+    """kappa_r(a^{s_1}, ..., a^{s_r}) for a with cumulants cum, inverted on
+    NC(r) from m_{sum of s_i, i in V}; kappa_n when every s_i = 1."""
     sizes = list(grouping) if hasattr(grouping, "__iter__") else []
     if not sizes or not all(isinstance(s, int) and s >= 1 for s in sizes):
         raise ValidationError(f"invalid grouping {grouping!r}")
@@ -95,11 +110,8 @@ def products_as_arguments(cum: RationalSequence, grouping) -> Fraction:
         raise ValidationError("cumulant sequence too short for grouping")
     if r == n:
         return cum[n]
-    sigmas = ncpart.iter_nc(r)  # the budget, before any work
-    mom, moebius = cumulants_to_moments(cum, n), incidence.moebius_family(r)
-    return sum((incidence.extend(moebius, ncpart.kreweras(sigma))
-                * prod(mom[sum(sizes[i - 1] for i in b)] for b in sigma.blocks)
-                for sigma in sigmas), Fraction(0))
+    mom = cache(lambda: cumulants_to_moments(cum, n))  # at the first block, after the budget
+    return _cumulant_by_inversion(r, lambda b: mom()[sum(sizes[i - 1] for i in b)])
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +379,7 @@ class WordMomentEvaluator:
         if len(self.vars) != len(variables):
             raise ValidationError("duplicate variable labels")
         self._periods = {v.label: v.period for v in variables}
+        self._cums: dict = {}  # label -> cumulants to the longest order read
 
     def reduce(self, word) -> tuple:
         word = tuple(word)
@@ -385,10 +398,12 @@ class WordMomentEvaluator:
         if word and not any(self.vars[lab].moment(e) for lab, e in word):
             return Fraction(0)
         letters = [lab for lab, e in word for _ in range(e)]
-        cums = {lab: moments_to_cumulants(RationalSequence(
-                    [self.vars[lab].moment(j) for j in range(1, letters.count(lab) + 1)]))
-                for lab in dict.fromkeys(letters)}
-        n = len(letters)
+        cums, n = self._cums, len(letters)
+        for lab in dict.fromkeys(letters):
+            count = letters.count(lab)
+            if lab not in cums or cums[lab].order < count:
+                cums[lab] = moments_to_cumulants(RationalSequence(
+                    [self.vars[lab].moment(j) for j in range(1, count + 1)]))
         # m[i][j]: the sum for letters i..j-1, by the block of letter i;
         # m[i][i] = 1, so the empty word is 1
         m = [[Fraction(1)] * (n + 1) for _ in range(n + 1)]
@@ -412,32 +427,16 @@ def free_word_moment(variables, word) -> Fraction:
 
 
 def freeness_moment_check(variables, a_label: str, h_word, max_letters: int) -> bool:
-    """True iff all alternating centered moments of (h, a) vanish up to
-    words of max_letters letters, with h given as a word in the other
-    variables.  This is the moment-level content of 'h and a are free'."""
+    """True iff h, given as a word in the other variables, and a have no
+    nonzero mixed free cumulant kappa_r(x_1, ..., x_r), x_i in {h, a} both
+    present, 2 <= r <= max_letters: freeness up to total degree max_letters
+    (Nica-Speicher, Lecture 11).  Each kappa_r is inverted on NC(r) from the
+    word moments phi(x_V), memoised per word."""
+    check_int(max_letters, "max_letters")
     ev = WordMomentEvaluator(variables)
-    h_word = tuple(h_word)
-    mean_h = ev.phi(h_word)
-    mean_a = ev.phi(((a_label, 1),))
-
-    def phi_pattern(pattern) -> Fraction:
-        # pattern entries: "h" or "a"; every letter is centered as
-        # (letter - mean); expand the product by linearity
-        total = Fraction(0)
-        for mask in range(1 << len(pattern)):
-            coeff = Fraction(1)
-            word: list = []
-            for i, sym in enumerate(pattern):
-                if mask >> i & 1:
-                    coeff *= -(mean_h if sym == "h" else mean_a)
-                else:
-                    word.extend(h_word if sym == "h" else [(a_label, 1)])
-            total += coeff * ev.phi(tuple(word))
-        return total
-
-    for m in range(2, max_letters + 1):
-        for start in ("h", "a"):
-            pattern = tuple(("h", "a")[(i + (start == "a")) % 2] for i in range(m))
-            if phi_pattern(pattern) != 0:
-                return False
-    return True
+    letters = {"h": tuple(h_word), "a": ((a_label, 1),)}
+    phi = cache(lambda xs: ev.phi([l for x in xs for l in letters[x]]))
+    return not any(
+        _cumulant_by_inversion(r, lambda b: phi(tuple(xs[i - 1] for i in b)))
+        for r in range(2, max_letters + 1) for xs in product("ha", repeat=r)
+        if len(set(xs)) == 2)

@@ -4,6 +4,8 @@ Each one computes a value the library also computes, along a route the
 library does not take, so the tests can hold the two against each other.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from freeprob import incidence, ncpart
@@ -193,6 +195,40 @@ def sum_moments_by_words(var_a, var_b, order: int) -> RationalSequence:
             total += ev.phi(word)
         out.append(total)
     return RationalSequence(out)
+
+
+def _compositions(total: int):
+    """Tuples of positive integers that sum to total."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first, *rest)
+
+
+def freeness_by_centering(variables, a_label: str, h_word, max_letters: int) -> bool:
+    """True iff phi(x_1° x_2° ... x_m°) = 0, x° = x - phi(x), for every
+    product of at least two alternating powers h^e and a^f of total degree
+    at most max_letters, each expanded over the subsets of its centred
+    factors on the centering word moments; oracle for
+    transforms.freeness_moment_check, which tests mixed free cumulants
+    instead.  Only moments are read, never moments_to_cumulants."""
+    ev = CenteringWordMoments(variables)
+    power = {"h": lambda e: list(h_word) * e, "a": lambda f: [(a_label, f)]}
+
+    def centred(factors) -> Fraction:
+        words = [power[x](e) for x, e in factors]
+        means = [ev.phi(w) for w in words]
+        total = Fraction(0)
+        for keep in itertools.product((True, False), repeat=len(words)):
+            coeff = math.prod(Fraction(1) if k else -m for k, m in zip(keep, means))
+            total += coeff * ev.phi([l for k, w in zip(keep, words) if k for l in w])
+        return total
+
+    return not any(
+        centred([("ha"[(i + start) % 2], e) for i, e in enumerate(exponents)])
+        for degree in range(2, max_letters + 1) for exponents in _compositions(degree)
+        if len(exponents) >= 2 for start in (0, 1))
 
 
 def rescale_to_monic(mom: RationalSequence, k: int) -> tuple:

@@ -27,6 +27,14 @@ def series_st(order, unit_constant=False, unit_linear=False):
     return st.lists(rationals, min_size=order + 1, max_size=order + 1).map(build)
 
 
+def test_series_keep_the_fractions_they_are_given():
+    given = [Fraction(1, 3), Fraction(-2, 5)]
+    for coeffs in (PowerSeries(given).coeffs, PuiseuxSeries(2, -1, given).coeffs):
+        assert all(c is g for c, g in zip(coeffs, given))
+    assert PowerSeries([1, 2.5]).coeffs == (Fraction(1), Fraction(5, 2))
+    assert all(type(c) is Fraction for c in PowerSeries([True, 2]).coeffs)
+
+
 def test_mul_unit_and_reciprocal_geometric():
     a = PowerSeries([2, 3, Fraction(1, 2), 5])
     assert se.mul(a, PowerSeries.one(3)) == a

@@ -12,7 +12,8 @@ from freeprob import series as se
 from freeprob import transforms as tr
 from freeprob.errors import ResourceLimitError, ValidationError
 from freeprob.sequences import RationalSequence
-from oracles import CenteringWordMoments, check_pair, rescale_to_monic, sum_moments_by_words
+from oracles import (CenteringWordMoments, check_pair, freeness_by_centering, rescale_to_monic,
+                     sum_moments_by_words)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -178,6 +179,16 @@ def test_products_as_arguments_budget_counts_groups(monkeypatch):
     assert tr.products_as_arguments(cum, [2, 3, 1, 4]) is not None
     with pytest.raises(ResourceLimitError, match=r"NC\(5\)"):
         tr.products_as_arguments(cum, [2, 2, 2, 2, 2])
+
+
+def test_products_as_arguments_meets_the_budget_before_any_moment(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("moments computed")
+
+    monkeypatch.setenv("FREEPROB_MAX_N", "4")
+    monkeypatch.setattr(tr, "cumulants_to_moments", refuse)
+    with pytest.raises(ResourceLimitError, match=r"NC\(5\)"):
+        tr.products_as_arguments(RationalSequence(range(1, 11)), [2, 2, 2, 2, 2])
 
 
 @pytest.mark.parametrize("size, groups", [(4, 5), (5, 6), (3, 10)])
@@ -540,6 +551,21 @@ def test_word_moment_reads_moments_up_to_the_letter_count():
     assert tr.free_word_moment([x2, y1], []) == 1
 
 
+def test_word_moments_rerun_m2c_only_for_a_longer_word(monkeypatch):
+    x = tr.FreeVariable("x", RationalSequence([1, 2, 3, 5, 8]))
+    y = tr.FreeVariable("y", RationalSequence([2, 1, 4]))
+    words = [[("x", 2), ("y", 1)], [("x", 1), ("y", 1), ("x", 1)], [("y", 2)],
+             [("x", 3), ("y", 1), ("x", 1)], [("x", 1), ("y", 1)]]
+    want = [tr.free_word_moment([x, y], word) for word in words]
+    orders = []
+    m2c = tr.moments_to_cumulants
+    monkeypatch.setattr(tr, "moments_to_cumulants",
+                        lambda mom, *args: orders.append(mom.order) or m2c(mom, *args))
+    ev = tr.WordMomentEvaluator([x, y])
+    assert [ev.phi(word) for word in words] == want
+    assert orders == [2, 1, 2, 4]  # x and y, then y, then x, each to a longer order
+
+
 def test_word_moment_period_variables():
     k = 3
     haar = RationalSequence([0, 0, 1])
@@ -612,16 +638,16 @@ def _even_law(order):
 
 
 def test_sandwich_freeness_for_even_element():
-    s = tr.FreeVariable("s", _even_law(8))
+    s = tr.FreeVariable("s", _even_law(12))
     a = tr.FreeVariable("a", tr.atomic_moments([(Fraction(1), Fraction(1, 3)),
                                                 (Fraction(3), Fraction(2, 3))], 8))
     assert tr.freeness_moment_check([s, a], "a", [("s", 1), ("a", 1), ("s", 1)], 6)
 
 
 def test_sandwich_freeness_fails_without_divisibility():
-    base = _even_law(8)
+    base = _even_law(12)
     skew = RationalSequence(
-        [Fraction(1, 7) if n == 1 else base[n] for n in range(1, 9)]
+        [Fraction(1, 7) if n == 1 else base[n] for n in range(1, 13)]
     )
     s = tr.FreeVariable("s", skew)
     a = tr.FreeVariable("a", tr.atomic_moments([(Fraction(1), Fraction(1, 3)),
@@ -643,6 +669,97 @@ def test_sandwich_freeness_three_divisible():
 
 
 def test_sandwich_freeness_scalar_is_trivially_free():
-    s = tr.FreeVariable("s", _even_law(8))
+    s = tr.FreeVariable("s", _even_law(12))
     c = tr.FreeVariable("c", tr.point_mass_moments(1, 8))
     assert tr.freeness_moment_check([s, c], "c", [("s", 1), ("c", 1), ("s", 1)], 6)
+
+
+def _three_divisible_pair():
+    s = tr.FreeVariable("s", inc.dilate(
+        tr.atomic_moments([(Fraction(1), Fraction(1, 2)), (Fraction(2), Fraction(1, 2))], 4), 3))
+    a = tr.FreeVariable("a", tr.atomic_moments([(Fraction(1), Fraction(1, 3)),
+                                                (Fraction(3), Fraction(2, 3))], 12))
+    return [s, a]
+
+
+def test_sandwich_of_degree_zero_is_not_free_at_k_three():
+    # h = s a s: p = a has degree 0 in s, not k - 2 = 1, and
+    # phi(h° a° (h^2)°) = 98/9, x° = x - phi(x), a mixed moment of degree 4
+    sas = [("s", 1), ("a", 1), ("s", 1)]
+    variables = _three_divisible_pair()
+    assert tr.freeness_moment_check(variables, "a", sas, 3)
+    assert not tr.freeness_moment_check(variables, "a", sas, 4)
+    ev = tr.WordMomentEvaluator(variables)
+    h1, h2, a1 = ev.phi(sas), ev.phi(sas * 2), ev.phi([("a", 1)])
+    centred = sum(sign * ev.phi(word) for sign, word in [
+        (1, sas + [("a", 1)] + sas * 2), (-h1, [("a", 1)] + sas * 2),
+        (-a1, sas * 3), (-h2, sas + [("a", 1)]), (h1 * a1, sas * 2), (h1 * h2, [("a", 1)]),
+        (a1 * h2, sas), (-h1 * a1 * h2, [])])
+    assert centred == Fraction(98, 9)
+
+
+def test_freeness_check_reads_moments_to_the_longest_mixed_word():
+    # h^5 a at max_letters 6 holds ten letters s, so s needs 10 moments
+    s = tr.FreeVariable("s", _even_law(8))
+    a = tr.FreeVariable("a", tr.atomic_moments([(Fraction(1), Fraction(1, 3)),
+                                                (Fraction(3), Fraction(2, 3))], 8))
+    with pytest.raises(ValidationError, match="moment 9 of 's' not available"):
+        tr.freeness_moment_check([s, a], "a", [("s", 1), ("a", 1), ("s", 1)], 6)
+    assert tr.freeness_moment_check([s, a], "a", [("s", 1), ("a", 1), ("s", 1)], 5)
+
+
+def test_freeness_check_takes_an_integer_order():
+    for bad in (2.5, Fraction(3), "4", None):
+        with pytest.raises(ValidationError, match="max_letters must be an integer"):
+            tr.freeness_moment_check(_three_divisible_pair(), "a", [("s", 1)], bad)
+
+
+def test_freeness_check_meets_the_nc_budget_at_its_order(monkeypatch):
+    monkeypatch.setenv("FREEPROB_MAX_N", "3")
+    variables = _three_divisible_pair()
+    assert tr.freeness_moment_check(variables, "a", [("s", 1), ("a", 1), ("s", 2)], 3)
+    with pytest.raises(ResourceLimitError, match=r"NC\(4\)"):
+        tr.freeness_moment_check(variables, "a", [("s", 1), ("a", 1), ("s", 2)], 4)
+
+
+def _atomic_law(draw, order):
+    # two atoms at least: a point mass is free from everything
+    weights = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=3))
+    places = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                           min_size=len(weights), max_size=len(weights), unique=True))
+    return tr.atomic_moments([(x, Fraction(w, sum(weights))) for x, w in zip(places, weights)],
+                             order)
+
+
+@st.composite
+def sandwiches(draw):
+    # s k-divisible, a free from s, and h = s p s with p a word of degree
+    # k - 2 in s: h = s a^(e_1) s ... a^(e_(k-1)) s, each e_i >= 0
+    k = draw(st.integers(min_value=2, max_value=4))
+    s = tr.FreeVariable("s", inc.dilate(_atomic_law(draw, 3), k))
+    a = tr.FreeVariable("a", _atomic_law(draw, 24))
+    h = [("s", 1)]
+    for e in draw(st.lists(st.integers(min_value=0, max_value=2), min_size=k - 1,
+                           max_size=k - 1)):
+        h += [("a", e), ("s", 1)]
+    return [s, a], h
+
+
+@settings(max_examples=15, deadline=None)
+@given(sandwiches())
+def test_sandwich_theorem(sandwich):
+    # the paper's second theorem: s p s and a are free
+    variables, h = sandwich
+    assert tr.freeness_moment_check(variables, "a", h, 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=3),
+       st.lists(st.tuples(st.sampled_from("sa"), st.integers(min_value=1, max_value=2)),
+                min_size=1, max_size=3),
+       st.integers(min_value=2, max_value=4))
+def test_freeness_check_matches_the_centering_oracle(data, k, h, max_letters):
+    s = tr.FreeVariable("s", inc.dilate(_atomic_law(data.draw, 12), k))
+    a = tr.FreeVariable("a", _atomic_law(data.draw, 24))
+    assert tr.freeness_moment_check([s, a], "a", h, max_letters) == \
+        freeness_by_centering([s, a], "a", h, max_letters)
